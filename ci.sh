@@ -14,6 +14,12 @@ cd "$(dirname "$0")"
 
 stage_build_test() {
     cargo fmt --all -- --check
+    # No deprecated shims: a removed API is deleted, not kept behind
+    # `#[deprecated]` (vendored stubs are exempt).
+    if grep -rnE '#\[deprecated|allow\(deprecated\)' crates src tests examples; then
+        echo "deprecated shim found: delete the item and migrate its callers" >&2
+        exit 1
+    fi
     # --workspace so the release `repro` binary the later steps run is built
     # (the bare root build only covers the facade crate).
     cargo build --release --workspace

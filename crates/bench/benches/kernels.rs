@@ -16,7 +16,9 @@ fn tune(c: &mut Criterion) -> criterion::BenchmarkGroup<'_, criterion::measureme
 use hsm_core::enhanced::EnhancedModel;
 use hsm_core::padhye;
 use hsm_core::params::ModelParams;
-use hsm_scenario::runner::{run_scenario, Motion, ScenarioConfig};
+use hsm_scenario::runner::{
+    try_run_scenario_with, Motion, ScenarioConfig, ScenarioOutcome, Scratch,
+};
 use hsm_simnet::loss::{GilbertElliott, LossModel};
 use hsm_simnet::prelude::*;
 use hsm_trace::analysis::timeout::TimeoutConfig;
@@ -32,7 +34,8 @@ fn bench_engine(c: &mut Criterion) {
             for seq in 0..10_000u64 {
                 eng.inject(link, Packet::data(FlowId(0), SeqNo(seq), false));
             }
-            eng.run_until_idle();
+            eng.try_run_until(SimTime::MAX)
+                .expect("engine invariants hold");
             black_box(eng.events_processed())
         });
     });
@@ -195,11 +198,16 @@ fn bench_link_offer(c: &mut Criterion) {
     });
 }
 
+fn flow(config: ScenarioConfig) -> ScenarioOutcome {
+    try_run_scenario_with(&mut Scratch::new(), &config, &StormPlan::default())
+        .expect("bench flow runs")
+}
+
 fn bench_tcp_flow(c: &mut Criterion) {
     let mut c = tune(c);
     c.bench_function("tcp/stationary_flow_10s", |b| {
         b.iter(|| {
-            let out = run_scenario(&ScenarioConfig {
+            let out = flow(ScenarioConfig {
                 motion: Motion::Stationary,
                 duration: SimDuration::from_secs(10),
                 seed: 7,
@@ -210,7 +218,7 @@ fn bench_tcp_flow(c: &mut Criterion) {
     });
     c.bench_function("tcp/high_speed_flow_10s", |b| {
         b.iter(|| {
-            let out = run_scenario(&ScenarioConfig {
+            let out = flow(ScenarioConfig {
                 duration: SimDuration::from_secs(10),
                 seed: 7,
                 ..Default::default()
@@ -221,7 +229,7 @@ fn bench_tcp_flow(c: &mut Criterion) {
 }
 
 fn bench_analysis(c: &mut Criterion) {
-    let out = run_scenario(&ScenarioConfig {
+    let out = flow(ScenarioConfig {
         duration: SimDuration::from_secs(30),
         seed: 11,
         ..Default::default()

@@ -394,38 +394,6 @@ fn spawn_shards(
     }
 }
 
-/// `repro cache migrate --cache-dir DIR`: rewrite every legacy JSON
-/// disk-cache entry as a binary entry, in place and atomically. Safe to
-/// run while campaigns share the directory; corrupt entries are counted
-/// and left for the cache to re-simulate past.
-fn cache_cmd(args: Vec<String>) -> ExitCode {
-    let usage = "usage: repro cache migrate --cache-dir DIR";
-    match args.first().map(String::as_str) {
-        Some("migrate") => {}
-        _ => return fail(usage),
-    }
-    let opts = match cli::parse("cache migrate", args[1..].to_vec(), &["--cache-dir"]) {
-        Ok(o) => o,
-        Err(e) => return fail(e),
-    };
-    let Some(dir) = &opts.cache_dir else {
-        return fail(usage);
-    };
-    match hsm_runtime::cache::migrate_disk_tier(dir) {
-        Ok(stats) => {
-            println!(
-                "cache migrate: {} -> {} migrated, {} already binary, {} corrupt (skipped)",
-                dir.display(),
-                stats.migrated,
-                stats.already_binary,
-                stats.corrupt
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => fail(format!("cache migrate: {e}")),
-    }
-}
-
 /// `repro bench [--smoke | --full] [--spec FILE]`: regenerate the
 /// `BENCH_*.json` telemetry files (plus `BENCH_spec.json` with a spec).
 fn bench_cmd(args: Vec<String>) -> ExitCode {
@@ -671,7 +639,6 @@ fn usage() {
     println!("       repro run --spec FILE [--shards N | --shard K/N] [--workers W]");
     println!("                 [--out DIR] [--cache-dir DIR]");
     println!("       repro bench [--smoke | --full] [--spec FILE] [--workers W]");
-    println!("       repro cache migrate --cache-dir DIR");
     println!("       repro chaos [--seed N] [--cases M] [--workers W] [--spec FILE]");
     println!("       repro cc-study [--smoke | --full] [--workers W] [--spec FILE]");
     println!("       repro recovery-study [--smoke | --full] [--workers W]\n");
@@ -683,9 +650,10 @@ fn usage() {
     println!("spawns N OS processes sharing one disk cache, `--shard K/N`");
     println!("runs a single slice (e.g. on a remote host), and the merged");
     println!("merged.json is bit-identical for every shard count.");
-    println!("`repro bench` runs no experiments: it only regenerates the");
-    println!("BENCH_campaign.json / BENCH_simnet.json telemetry files");
-    println!("(plus BENCH_spec.json when given --spec).");
+    println!("`repro bench` runs no experiments: it is the only command that");
+    println!("writes the BENCH_campaign.json / BENCH_simnet.json telemetry");
+    println!("files (plus BENCH_spec.json when given --spec); running");
+    println!("experiments never touches them.");
     println!("`repro chaos` runs the seeded fault-injection harness and");
     println!("writes CHAOS_report.json (plus chaos-failure.json and a");
     println!("non-zero exit on any oracle violation).");
@@ -739,14 +707,6 @@ fn experiments_cmd(args: Vec<String>) -> ExitCode {
             }
         }
     }
-    match write_campaign_bench() {
-        Ok(()) => println!("wrote BENCH_campaign.json"),
-        Err(err) => return fail(format!("failed to write BENCH_campaign.json: {err}")),
-    }
-    match write_simnet_bench(opts.scale) {
-        Ok(()) => println!("wrote BENCH_simnet.json"),
-        Err(err) => return fail(format!("failed to write BENCH_simnet.json: {err}")),
-    }
     ExitCode::SUCCESS
 }
 
@@ -755,7 +715,6 @@ fn main() -> ExitCode {
     let rest = |a: &[String]| a[1..].to_vec();
     match args.first().map(String::as_str) {
         Some("run") => run_cmd(rest(&args)),
-        Some("cache") => cache_cmd(rest(&args)),
         Some("bench") => bench_cmd(rest(&args)),
         Some("chaos") => chaos_cmd(rest(&args)),
         Some("cc-study") => cc_study_cmd(rest(&args)),

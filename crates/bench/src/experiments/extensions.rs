@@ -5,18 +5,22 @@
 //!   wireless-loss-aware variant);
 //! * `ext_delack` — fixed delayed-ACK windows vs the TCP-DCA-style
 //!   adaptive policy (§V-A explicitly defers this evaluation);
-//! * `ext_undo` — Eifel-style spurious-RTO detection and undo;
+//! * `ext_undo` — RFC 5682 F-RTO spurious-RTO detection and undo vs
+//!   plain RFC 6298 recovery;
 //! * `ext_mptcp` — shared-radio vs disjoint-carrier duplex MPTCP,
 //!   separating the *capacity* gain from the *dead-time-filling* gain.
 
 use crate::context::Ctx;
 use crate::report::ExperimentResult;
+use hsm_runtime::parallel::par_map;
 use hsm_scenario::provider::Provider;
-use hsm_scenario::runner::{run_scenario, ScenarioConfig};
-use hsm_tcp::connection::run_connection;
+use hsm_scenario::runner::{try_run_scenario_with, ScenarioConfig, Scratch};
+use hsm_simnet::chaos::StormPlan;
+use hsm_tcp::connection::{try_run_connection_with, ConnectionScratch};
 use hsm_tcp::cwnd::Algorithm;
 use hsm_tcp::mptcp::{run_mptcp_duplex, run_mptcp_shared_radio};
 use hsm_tcp::receiver::AdaptiveDelAck;
+use hsm_tcp::recovery::Recovery;
 use hsm_trace::analysis::timeout::TimeoutConfig;
 use hsm_trace::export::{fnum, fpct, Table};
 use hsm_trace::summary::analyze_flow;
@@ -48,12 +52,19 @@ pub fn run_cc(ctx: &Ctx) -> ExperimentResult {
             ("NewReno", Algorithm::Reno, true),
             ("Veno", Algorithm::veno(), false),
         ] {
-            let results = crate::parallel::par_map(reps, |rep| {
+            let results = par_map(reps, |rep| {
                 let sc = base_scenario(duration, provider, 7_000 + rep);
                 let mut conn = sc.connection();
                 conn.sender.algorithm = algo;
                 conn.sender.newreno = newreno;
-                let out = run_connection(sc.seed, &sc.path(), sc.mobility().as_ref(), &conn);
+                let out = try_run_connection_with(
+                    &mut ConnectionScratch::new(),
+                    sc.seed,
+                    &sc.path(),
+                    sc.mobility().as_ref(),
+                    &conn,
+                )
+                .expect("experiment flow runs");
                 let s = analyze_flow(&out.trace, &TimeoutConfig::default()).summary;
                 (s.throughput_sps, f64::from(s.timeouts))
             });
@@ -97,12 +108,19 @@ pub fn run_delack(ctx: &Ctx) -> ExperimentResult {
         ),
     ];
     for (name, b, adaptive) in policies {
-        let results = crate::parallel::par_map(reps, |rep| {
+        let results = par_map(reps, |rep| {
             let sc = base_scenario(duration, Provider::ChinaMobile, 7_500 + rep);
             let mut conn = sc.connection();
             conn.receiver.b = b;
             conn.receiver.adaptive = adaptive;
-            let out = run_connection(sc.seed, &sc.path(), sc.mobility().as_ref(), &conn);
+            let out = try_run_connection_with(
+                &mut ConnectionScratch::new(),
+                sc.seed,
+                &sc.path(),
+                sc.mobility().as_ref(),
+                &conn,
+            )
+            .expect("experiment flow runs");
             let s = analyze_flow(&out.trace, &TimeoutConfig::default()).summary;
             (
                 s.throughput_sps,
@@ -126,21 +144,33 @@ pub fn run_delack(ctx: &Ctx) -> ExperimentResult {
         .note("the adaptive policy rides at b_min right after disturbances (keeping ACKs plentiful when they are precious) and only grows the window in calm stretches")
 }
 
-/// `ext_undo`: Eifel-style spurious-RTO undo on/off.
+/// `ext_undo`: F-RTO spurious-RTO undo vs no countermeasure.
 pub fn run_undo(ctx: &Ctx) -> ExperimentResult {
     let reps = ctx.scale.repetitions();
     let duration = ctx.scale.flow_duration();
     let mut t = Table::new(
         "Spurious-RTO undo on the 300 km/h channel",
-        &["Provider", "undo", "mean TP (seg/s)", "mean undone/flow"],
+        &[
+            "Provider",
+            "recovery",
+            "mean TP (seg/s)",
+            "mean undone/flow",
+        ],
     );
     for provider in Provider::ALL {
-        for undo in [false, true] {
-            let results = crate::parallel::par_map(reps, |rep| {
+        for recovery in [Recovery::None, Recovery::Frto] {
+            let results = par_map(reps, |rep| {
                 let sc = base_scenario(duration, provider, 8_000 + rep);
                 let mut conn = sc.connection();
-                conn.sender.spurious_rto_undo = undo;
-                let out = run_connection(sc.seed, &sc.path(), sc.mobility().as_ref(), &conn);
+                conn.sender.recovery = recovery;
+                let out = try_run_connection_with(
+                    &mut ConnectionScratch::new(),
+                    sc.seed,
+                    &sc.path(),
+                    sc.mobility().as_ref(),
+                    &conn,
+                )
+                .expect("experiment flow runs");
                 let s = analyze_flow(&out.trace, &TimeoutConfig::default()).summary;
                 (s.throughput_sps, out.sender.spurious_rto_undone as f64)
             });
@@ -149,15 +179,13 @@ pub fn run_undo(ctx: &Ctx) -> ExperimentResult {
             let n = reps as f64;
             t.push_row(vec![
                 provider.name().to_owned(),
-                undo.to_string(),
+                recovery.label().to_owned(),
                 fnum(tp / n),
                 fnum(undone / n),
             ]);
         }
     }
-    ExperimentResult::new("ext_undo", "Eifel-style spurious-RTO undo (extension)")
-        .with_table(t)
-        .note("timing-based detection only catches spurious timeouts whose original ACKs resume immediately; a timestamp option would catch the rest")
+    ExperimentResult::new("ext_undo", "F-RTO spurious-RTO undo (extension)").with_table(t)
 }
 
 /// `ext_mptcp`: shared-radio vs disjoint-carrier duplex, against single
@@ -175,13 +203,17 @@ pub fn run_mptcp_variants(ctx: &Ctx) -> ExperimentResult {
         ],
     );
     for provider in Provider::ALL {
-        let results = crate::parallel::par_map(reps, |rep| {
+        let results = par_map(reps, |rep| {
             let sc = base_scenario(duration, provider, 8_500 + rep);
-            let single = run_scenario(&sc).summary().throughput_sps;
+            let single = try_run_scenario_with(&mut Scratch::new(), &sc, &StormPlan::default())
+                .expect("experiment flow runs")
+                .summary()
+                .throughput_sps;
             let path = sc.path();
             let conn = sc.connection();
             let shared =
                 run_mptcp_shared_radio(sc.seed ^ 0x1111, &path, sc.mobility().as_ref(), &conn)
+                    .expect("experiment flow runs")
                     .aggregate_throughput_sps();
             let disjoint = run_mptcp_duplex(
                 sc.seed ^ 0x2222,
@@ -189,6 +221,7 @@ pub fn run_mptcp_variants(ctx: &Ctx) -> ExperimentResult {
                 sc.mobility().as_ref(),
                 &conn,
             )
+            .expect("experiment flow runs")
             .aggregate_throughput_sps();
             (single, shared, disjoint)
         });
@@ -228,14 +261,14 @@ mod tests {
     #[test]
     fn undo_ablation_produces_paired_rows() {
         // Smoke scale is two short rides per cell — far too noisy for
-        // performance claims (those live in tests/extensions.rs under a
-        // controlled ACK-outage channel). Check the structure only.
+        // performance claims (those live in the `hsm-tcp` F-RTO tests and
+        // the recovery study). Check the structure only.
         let r = run_undo(&Ctx::new(Scale::Smoke));
         let rows = &r.tables[0].rows;
         assert_eq!(rows.len(), 6);
         for pair in rows.chunks(2) {
-            assert_eq!(pair[0][1], "false");
-            assert_eq!(pair[1][1], "true");
+            assert_eq!(pair[0][1], "None");
+            assert_eq!(pair[1][1], "Frto");
             assert!(pair[0][2].parse::<f64>().unwrap() > 0.0);
             assert!(pair[1][2].parse::<f64>().unwrap() > 0.0);
         }

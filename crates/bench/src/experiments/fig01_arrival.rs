@@ -3,7 +3,8 @@
 
 use crate::context::Ctx;
 use crate::report::ExperimentResult;
-use hsm_scenario::runner::{run_scenario, ScenarioConfig};
+use hsm_scenario::runner::{try_run_scenario_with, ScenarioConfig, Scratch};
+use hsm_simnet::chaos::StormPlan;
 use hsm_trace::analysis::latency::delay_scatter;
 use hsm_trace::export::{fnum, Table};
 
@@ -16,7 +17,8 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
         duration: ctx.scale.flow_duration(),
         ..Default::default()
     };
-    let out = run_scenario(&cfg);
+    let out = try_run_scenario_with(&mut Scratch::new(), &cfg, &StormPlan::default())
+        .expect("experiment flow runs");
     let points = delay_scatter(&out.outcome.trace);
 
     let mut scatter = Table::new(

@@ -23,7 +23,7 @@ struct CaseOutcome {
 }
 
 /// Runs a lossless flow whose *uplink* suffers one scripted total outage.
-fn run_case(w_m: u32, outage_ms: (u64, u64), segments: u64) -> CaseOutcome {
+fn run_case(w_m: u32, outage_ms: (u64, u64), segments: u64) -> Result<CaseOutcome, SimError> {
     let mut eng = Engine::new(5);
     let placeholder = LinkId::from_raw(u32::MAX);
     let scfg = SenderConfig {
@@ -57,7 +57,7 @@ fn run_case(w_m: u32, outage_ms: (u64, u64), segments: u64) -> CaseOutcome {
     )));
     let rec = VecRecorder::new();
     eng.add_recorder(rec.clone());
-    eng.run_until(SimTime::from_secs(60));
+    eng.try_run_until(SimTime::from_secs(60))?;
     let timeouts = eng
         .agent_mut::<RenoSender>(tx)
         .expect("sender")
@@ -71,22 +71,22 @@ fn run_case(w_m: u32, outage_ms: (u64, u64), segments: u64) -> CaseOutcome {
         .events()
         .iter()
         .any(|e| matches!(e.kind, PacketEventKind::Dropped(_)) && e.packet.kind.is_data());
-    CaseOutcome {
+    Ok(CaseOutcome {
         timeouts,
         duplicate_payloads,
         data_lost,
         delivered,
-    }
+    })
 }
 
 /// Regenerates both Fig. 5 cases.
 pub fn run(_ctx: &Ctx) -> ExperimentResult {
     // Case (a): a window-wide uplink blackout kills every ACK of several
     // rounds — the sender must time out spuriously.
-    let a = run_case(16, (1_000, 2_500), 2_000);
+    let a = run_case(16, (1_000, 2_500), 2_000).expect("scripted case runs");
     // Case (b): window of 1 — each round has exactly one ACK, so a brief
     // blackout over one ACK is already an "ACK burst loss".
-    let b = run_case(1, (1_000, 1_060), 200);
+    let b = run_case(1, (1_000, 1_060), 200).expect("scripted case runs");
 
     let mut t = Table::new(
         "Fig. 5 — ACK burst loss triggers timeouts without any data loss",

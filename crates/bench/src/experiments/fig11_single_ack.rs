@@ -16,7 +16,7 @@ struct CaseOutcome {
 
 /// Runs a lossless flow with a scripted uplink outage of probability `p`
 /// over a round's worth of ACKs.
-fn run_case(up_loss_during_window: f64) -> CaseOutcome {
+fn run_case(up_loss_during_window: f64) -> Result<CaseOutcome, SimError> {
     let mut eng = Engine::new(9);
     let placeholder = LinkId::from_raw(u32::MAX);
     let scfg = SenderConfig {
@@ -48,7 +48,7 @@ fn run_case(up_loss_during_window: f64) -> CaseOutcome {
         SimTime::from_millis(2_500),
         up_loss_during_window,
     )));
-    eng.run_until(SimTime::from_secs(60));
+    eng.try_run_until(SimTime::from_secs(60))?;
     let timeouts = eng
         .agent_mut::<RenoSender>(tx)
         .expect("sender")
@@ -56,21 +56,21 @@ fn run_case(up_loss_during_window: f64) -> CaseOutcome {
         .timeouts
         .len();
     let rx_agent = eng.agent_mut::<Receiver>(rx).expect("receiver");
-    CaseOutcome {
+    Ok(CaseOutcome {
         timeouts,
         duplicate_payloads: rx_agent.metrics.duplicate_payloads,
         delivered: rx_agent.next_expected().as_u64(),
-    }
+    })
 }
 
 /// Regenerates the Fig. 11 contrast: a total ACK blackout vs one where a
 /// few ACKs slip through (cumulative ACKs then cover all the lost ones).
 pub fn run(_ctx: &Ctx) -> ExperimentResult {
-    let blackout = run_case(1.0);
+    let blackout = run_case(1.0).expect("scripted case runs");
     // 70% ACK loss over the same window: with ~16 ACKs per round the odds
     // that *every* ACK of a round dies are small — some ACK survives and
     // its cumulative coverage prevents the timeout.
-    let leaky = run_case(0.70);
+    let leaky = run_case(0.70).expect("scripted case runs");
 
     let mut t = Table::new(
         "Fig. 11 — one surviving ACK prevents the spurious timeout",

@@ -14,9 +14,11 @@
 
 use crate::context::Ctx;
 use crate::report::ExperimentResult;
+use hsm_runtime::parallel::par_map;
 use hsm_scenario::calibrate::PAPER;
 use hsm_scenario::provider::Provider;
-use hsm_scenario::runner::{run_scenario, ScenarioConfig};
+use hsm_scenario::runner::{try_run_scenario_with, ScenarioConfig, Scratch};
+use hsm_simnet::chaos::StormPlan;
 use hsm_simnet::time::SimDuration;
 use hsm_tcp::mptcp::run_mptcp_shared_radio;
 use hsm_trace::export::{fnum, fpct, Table};
@@ -49,12 +51,16 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
     for (i, provider) in Provider::ALL.iter().enumerate() {
         // Paired rides: the same seed drives the single-flow and the
         // MPTCP run of each repetition, reducing ride-to-ride variance.
-        let pairs = crate::parallel::par_map(reps, |rep| {
+        let pairs = par_map(reps, |rep| {
             let sc = scenario(*provider, 300 + rep, duration);
-            let single = run_scenario(&sc).summary().throughput_sps;
+            let single = try_run_scenario_with(&mut Scratch::new(), &sc, &StormPlan::default())
+                .expect("experiment flow runs")
+                .summary()
+                .throughput_sps;
             let path = sc.path();
             let mptcp =
                 run_mptcp_shared_radio(sc.seed, &path, sc.mobility().as_ref(), &sc.connection())
+                    .expect("experiment flow runs")
                     .aggregate_throughput_sps();
             (single, mptcp)
         });

@@ -6,7 +6,9 @@ use crate::context::Ctx;
 use crate::report::ExperimentResult;
 use hsm_core::params::ModelParams;
 use hsm_core::sensitivity::delayed_ack_analysis;
-use hsm_scenario::runner::{run_scenario, ScenarioConfig};
+use hsm_runtime::parallel::par_map;
+use hsm_scenario::runner::{try_run_scenario_with, ScenarioConfig, Scratch};
+use hsm_simnet::chaos::StormPlan;
 use hsm_trace::export::{fnum, fpct, Table};
 
 /// Regenerates the §V-A analysis.
@@ -41,13 +43,18 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
         ],
     );
     for b in [1u32, 2, 4] {
-        let results = crate::parallel::par_map(reps, |rep| {
-            let out = run_scenario(&ScenarioConfig {
-                seed: 4_000 + rep,
-                b,
-                duration,
-                ..Default::default()
-            });
+        let results = par_map(reps, |rep| {
+            let out = try_run_scenario_with(
+                &mut Scratch::new(),
+                &ScenarioConfig {
+                    seed: 4_000 + rep,
+                    b,
+                    duration,
+                    ..Default::default()
+                },
+                &StormPlan::default(),
+            )
+            .expect("experiment flow runs");
             (
                 out.summary().throughput_sps,
                 f64::from(out.summary().timeouts),

@@ -5,8 +5,9 @@ use crate::context::Ctx;
 use crate::report::ExperimentResult;
 use hsm_core::params::ModelParams;
 use hsm_core::sensitivity::{redundant_retransmit_benefit, sweep_q};
+use hsm_runtime::parallel::par_map;
 use hsm_scenario::runner::ScenarioConfig;
-use hsm_tcp::connection::{run_connection, PathSpec};
+use hsm_tcp::connection::{try_run_connection_with, ConnectionScratch, PathSpec};
 use hsm_tcp::mptcp::run_with_backup_path;
 use hsm_trace::export::{fnum, fpct, Table};
 
@@ -47,7 +48,7 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
     // over a clean second path.
     let reps = ctx.scale.repetitions();
     let duration = ctx.scale.flow_duration();
-    let results = crate::parallel::par_map(reps, |rep| {
+    let results = par_map(reps, |rep| {
         let sc = ScenarioConfig {
             seed: 5_000 + rep,
             duration,
@@ -55,14 +56,22 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
         };
         let conn = sc.connection();
         let mob = sc.mobility();
-        let plain = run_connection(sc.seed, &sc.path(), mob.as_ref(), &conn);
+        let plain = try_run_connection_with(
+            &mut ConnectionScratch::new(),
+            sc.seed,
+            &sc.path(),
+            mob.as_ref(),
+            &conn,
+        )
+        .expect("experiment flow runs");
         let with_backup = run_with_backup_path(
             sc.seed,
             &sc.path(),
             &PathSpec::default(),
             mob.as_ref(),
             &conn,
-        );
+        )
+        .expect("experiment flow runs");
         let pa = hsm_trace::summary::analyze_flow(&plain.trace, &Default::default());
         let ba = hsm_trace::summary::analyze_flow(&with_backup.trace, &Default::default());
         (

@@ -8,7 +8,10 @@
 
 use crate::context::Ctx;
 use crate::report::ExperimentResult;
-use hsm_scenario::runner::{run_scenario, Motion, ScenarioConfig};
+use hsm_scenario::runner::{
+    try_run_scenario_with, Motion, ScenarioConfig, ScenarioOutcome, Scratch,
+};
+use hsm_simnet::chaos::StormPlan;
 use hsm_tcp::cwnd::Phase;
 use hsm_tcp::metrics::CwndSample;
 use hsm_trace::export::{fnum, Table};
@@ -35,10 +38,15 @@ fn window_table(title: &str, log: &[CwndSample], max_rows: usize) -> Table {
     t
 }
 
+fn ride(config: ScenarioConfig) -> ScenarioOutcome {
+    try_run_scenario_with(&mut Scratch::new(), &config, &StormPlan::default())
+        .expect("experiment flow runs")
+}
+
 /// Fig. 7 — window evolution across CA phases (the sawtooth, including
 /// phases cut short by ACK burst loss).
 pub fn run_fig7(ctx: &Ctx) -> ExperimentResult {
-    let out = run_scenario(&ScenarioConfig {
+    let out = ride(ScenarioConfig {
         seed: 2201,
         duration: ctx.scale.flow_duration(),
         ..Default::default()
@@ -63,7 +71,7 @@ pub fn run_fig7(ctx: &Ctx) -> ExperimentResult {
 /// Fig. 8 — the cycle structure: CA sequences separated by timeout
 /// sequences.
 pub fn run_fig8(ctx: &Ctx) -> ExperimentResult {
-    let out = run_scenario(&ScenarioConfig {
+    let out = ride(ScenarioConfig {
         seed: 2202,
         duration: ctx.scale.flow_duration(),
         ..Default::default()
@@ -99,7 +107,7 @@ pub fn run_fig8(ctx: &Ctx) -> ExperimentResult {
 
 /// Fig. 9 — window evolution under a binding advertised-window limit.
 pub fn run_fig9(ctx: &Ctx) -> ExperimentResult {
-    let out = run_scenario(&ScenarioConfig {
+    let out = ride(ScenarioConfig {
         seed: 2203,
         w_m: 8,
         motion: Motion::Stationary,

@@ -33,10 +33,6 @@ pub mod registry;
 pub mod report;
 pub mod simnet_bench;
 
-/// Parallel repetition helpers, promoted to `hsm-runtime`; re-exported
-/// here so `hsm_bench::parallel::par_map` call sites keep working.
-pub use hsm_runtime::parallel;
-
 pub use cli::Opts;
 pub use context::{Ctx, Scale};
 pub use registry::{find, run_all, Experiment, EXPERIMENTS};

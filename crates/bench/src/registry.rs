@@ -113,7 +113,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     },
     Experiment {
         id: "ext_undo",
-        about: "extension — Eifel-style spurious-RTO undo",
+        about: "extension — F-RTO spurious-RTO undo vs plain recovery",
         run: ex::extensions::run_undo,
     },
     Experiment {

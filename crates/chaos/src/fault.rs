@@ -16,7 +16,9 @@ use hsm_simnet::engine::{Ctx, Engine};
 use hsm_simnet::link::{LinkId, LinkSpec};
 use hsm_simnet::packet::{FlowId, Packet, SeqNo};
 use hsm_simnet::time::{SimDuration, SimTime};
-use hsm_tcp::connection::{try_run_connection, ConnectionConfig, LossSpec, PathSpec};
+use hsm_tcp::connection::{
+    try_run_connection_with, ConnectionConfig, ConnectionScratch, LossSpec, PathSpec,
+};
 use hsm_tcp::receiver::{Receiver, ReceiverConfig};
 use hsm_tcp::recovery::Recovery;
 use hsm_tcp::reno::{RenoSender, SenderConfig};
@@ -157,7 +159,7 @@ fn drill_cache_forgery(dir: &Path) -> Result<String, String> {
     let configs = drill_configs();
     let victim = &configs[0];
     let donor = &configs[1];
-    let donor_summary = try_run_scenario(donor)
+    let donor_summary = try_run_scenario_with(&mut Scratch::new(), donor, &StormPlan::default())
         .map_err(|e| format!("donor run failed: {e}"))?
         .summary()
         .clone();
@@ -176,7 +178,7 @@ fn drill_cache_forgery(dir: &Path) -> Result<String, String> {
             "integrity check flagged the forgery — it should be invisible to it".to_owned(),
         );
     }
-    let fresh = try_run_scenario(victim)
+    let fresh = try_run_scenario_with(&mut Scratch::new(), victim, &StormPlan::default())
         .map_err(|e| format!("victim run failed: {e}"))?
         .summary()
         .clone();
@@ -232,19 +234,20 @@ fn drill_link_storm() -> Result<String, String> {
         }));
         let plan = StormPlan::from_seed(seed, SimDuration::from_secs(2));
         eng.add_agent(Box::new(StormInjector::new(wire, plan)));
-        eng.run_until(SimTime::ZERO + SimDuration::from_secs(4));
+        eng.try_run_until(SimTime::ZERO + SimDuration::from_secs(4))
+            .map_err(|e| format!("storm run failed: {e}"))?;
         let link = eng.link(wire);
-        (
+        Ok::<_, String>((
             link.offered,
             link.delivered,
             link.overflow_drops,
             link.channel_drops,
             link.queue_len(),
             link.deliver_pending,
-        )
+        ))
     };
-    let a = run(23);
-    let b = run(23);
+    let a = run(23)?;
+    let b = run(23)?;
     if a != b {
         return Err(format!("storm replay diverged: {a:?} vs {b:?}"));
     }
@@ -285,8 +288,9 @@ fn drill_ack_burst_loss() -> Result<String, String> {
             up_loss,
             ..Default::default()
         };
-        let out = try_run_connection(5, &path, None, &connection)
-            .map_err(|e| format!("connection run failed: {e}"))?;
+        let out =
+            try_run_connection_with(&mut ConnectionScratch::new(), 5, &path, None, &connection)
+                .map_err(|e| format!("connection run failed: {e}"))?;
         let analysis = analyze_flow(&out.trace, &TimeoutConfig::default());
         Ok::<_, String>(analysis.summary)
     };
@@ -363,27 +367,28 @@ fn drill_ack_delay_frto_undo() -> Result<String, String> {
                 .collect(),
         };
         eng.add_agent(Box::new(StormInjector::new(up, plan)));
-        eng.run_until(SimTime::ZERO + SimDuration::from_secs(30));
+        eng.try_run_until(SimTime::ZERO + SimDuration::from_secs(30))
+            .map_err(|e| format!("storm run failed: {e}"))?;
         let delivered = eng
             .agent_mut::<Receiver>(rx)
             .expect("receiver")
             .metrics
             .next_expected;
         let sender = eng.agent_mut::<RenoSender>(tx).expect("sender");
-        (
+        Ok::<_, String>((
             delivered,
             sender.metrics.spurious_rto_undone,
             sender.metrics.timeouts.len() as u64,
-        )
+        ))
     };
-    let (frto_delivered, undone, timeouts) = run(Recovery::Frto);
-    let replay = run(Recovery::Frto);
+    let (frto_delivered, undone, timeouts) = run(Recovery::Frto)?;
+    let replay = run(Recovery::Frto)?;
     if replay != (frto_delivered, undone, timeouts) {
         return Err(format!(
             "F-RTO run not deterministic: {replay:?} vs ({frto_delivered}, {undone}, {timeouts})"
         ));
     }
-    let (none_delivered, none_undone, none_timeouts) = run(Recovery::None);
+    let (none_delivered, none_undone, none_timeouts) = run(Recovery::None)?;
     if timeouts == 0 || none_timeouts == 0 {
         return Err("storm raised no timeouts — episodes never bit".to_owned());
     }
@@ -419,11 +424,12 @@ fn drill_scratch_poison() -> Result<String, String> {
         .seed(77)
         .build()
         .expect("valid");
-    let fresh = try_run_scenario(&config).map_err(|e| format!("fresh run failed: {e}"))?;
+    let fresh = try_run_scenario_with(&mut Scratch::new(), &config, &StormPlan::default())
+        .map_err(|e| format!("fresh run failed: {e}"))?;
     let mut scratch = Scratch::new();
     for round in 0..2 {
         scratch.poison();
-        let reused = try_run_scenario_with(&mut scratch, &config)
+        let reused = try_run_scenario_with(&mut scratch, &config, &StormPlan::default())
             .map_err(|e| format!("poisoned run failed: {e}"))?;
         if let Some(diff) = compare_summaries(fresh.summary(), reused.summary()) {
             return Err(format!("round {round}: poisoned scratch diverged: {diff}"));

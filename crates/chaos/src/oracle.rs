@@ -24,7 +24,8 @@ use hsm_core::enhanced::{round_distribution, EnhancedModel};
 use hsm_core::estimate::EstimateConfig;
 use hsm_core::eval::{evaluate_flow, FlowEval};
 use hsm_runtime::cache::{CacheConfig, CacheKey, FlowCache};
-use hsm_scenario::runner::{try_run_scenario, try_run_scenario_with, ScenarioConfig, Scratch};
+use hsm_scenario::runner::{try_run_scenario_with, ScenarioConfig, Scratch};
+use hsm_simnet::chaos::StormPlan;
 use hsm_trace::summary::FlowSummary;
 use std::path::{Path, PathBuf};
 
@@ -118,7 +119,7 @@ pub fn check_case(case: u64, config: &ScenarioConfig, oracle: &OracleConfig) -> 
     let mut violations = Vec::new();
 
     // --- Layer 1: the three-way differential. -------------------------
-    let fresh = match try_run_scenario(config) {
+    let fresh = match try_run_scenario_with(&mut Scratch::new(), config, &StormPlan::default()) {
         Ok(out) => out,
         Err(e) => {
             violations.push(violation(
@@ -138,7 +139,7 @@ pub fn check_case(case: u64, config: &ScenarioConfig, oracle: &OracleConfig) -> 
 
     let mut scratch = Scratch::new();
     scratch.poison();
-    match try_run_scenario_with(&mut scratch, config) {
+    match try_run_scenario_with(&mut scratch, config, &StormPlan::default()) {
         Ok(reused) => {
             if let Some(diff) = compare_summaries(summary, reused.summary()) {
                 violations.push(violation(
@@ -411,7 +412,8 @@ mod tests {
     #[test]
     fn forged_summary_is_caught_by_the_differential() {
         let cfg = quick_config();
-        let fresh = try_run_scenario(&cfg).expect("runs");
+        let fresh =
+            try_run_scenario_with(&mut Scratch::new(), &cfg, &StormPlan::default()).expect("runs");
         let mut forged = fresh.summary().clone();
         forged.throughput_sps *= 1.5;
         let diff = compare_summaries(fresh.summary(), &forged);
@@ -424,7 +426,8 @@ mod tests {
         // Feed the summary checker a deliberately corrupted summary: the
         // oracle must flag it (detection proof for the invariant layer).
         let cfg = quick_config();
-        let fresh = try_run_scenario(&cfg).expect("runs");
+        let fresh =
+            try_run_scenario_with(&mut Scratch::new(), &cfg, &StormPlan::default()).expect("runs");
         let mut bad = fresh.summary().clone();
         bad.p_d = 1.5;
         bad.spurious_timeouts = bad.timeouts + 1;
@@ -444,7 +447,8 @@ mod tests {
     #[test]
     fn warm_cache_round_trip_detects_divergence() {
         let cfg = quick_config();
-        let fresh = try_run_scenario(&cfg).expect("runs");
+        let fresh =
+            try_run_scenario_with(&mut Scratch::new(), &cfg, &StormPlan::default()).expect("runs");
         assert_eq!(
             warm_cache_round_trip(&cfg, fresh.summary(), None),
             Ok(None),

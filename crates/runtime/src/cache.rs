@@ -15,17 +15,13 @@
 //!   every shard at the same tier — while readers stay lock-free.
 //!   Opening a disk tier sweeps staging files orphaned by killed writers.
 //!
-//! New disk entries use the CRC-protected binary format of
-//! [`crate::codec`], which decodes in one allocation-light forward pass;
-//! legacy JSON entries written by earlier releases are still read
-//! transparently (and counted, see [`CacheStats::legacy_json_hits`]), so
-//! pre-existing tiers keep hitting — [`migrate_disk_tier`] (surfaced as
-//! `repro cache migrate`) rewrites such a tier in place. A corrupted
-//! entry of either format fails its integrity check, is counted, and is
-//! transparently re-simulated — the cache can never silently alter
-//! campaign results. Both encodings round-trip floats exactly (raw bits
-//! in binary, shortest round-trip formatting in JSON), so a cache hit is
-//! *bit-identical* to a fresh simulation.
+//! Disk entries use the CRC-protected binary format of [`crate::codec`],
+//! which decodes in one allocation-light forward pass. Any entry that
+//! fails to decode — a corrupted one, or a JSON entry from a release that
+//! predates the binary format — is counted as corrupt, transparently
+//! re-simulated and overwritten, so the cache can never silently alter
+//! campaign results. The encoding round-trips floats exactly (raw bits),
+//! so a cache hit is *bit-identical* to a fresh simulation.
 //!
 //! Cache keys are computed by streaming the configuration's canonical
 //! JSON bytes straight into the FNV-1a state — no intermediate string is
@@ -285,15 +281,11 @@ pub struct CacheStats {
     pub disk_hits: u64,
     /// Lookups that found nothing valid.
     pub misses: u64,
-    /// Disk entries rejected by the integrity check (CRC for binary
-    /// entries, payload hash for legacy JSON).
+    /// Disk entries that failed to decode: a CRC or structural mismatch,
+    /// or a pre-binary JSON entry. Each is re-simulated and overwritten.
     pub corrupt_entries: u64,
     /// Entries evicted from the memory tier by the LRU policy.
     pub evictions: u64,
-    /// Disk hits served from legacy JSON entries (written before the
-    /// binary format). A persistently non-zero count on a long-lived
-    /// tier suggests running `repro cache migrate`.
-    pub legacy_json_hits: u64,
 }
 
 impl CacheStats {
@@ -308,22 +300,7 @@ impl CacheStats {
         self.misses += other.misses;
         self.corrupt_entries += other.corrupt_entries;
         self.evictions += other.evictions;
-        self.legacy_json_hits += other.legacy_json_hits;
     }
-}
-
-/// One record of the legacy JSON disk tier (still read, no longer
-/// written outside tests — see [`crate::codec`] for the current format).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct DiskEntry {
-    /// The cache key, echoed for self-description.
-    key: u64,
-    /// Engine version that produced the payload.
-    engine_version: String,
-    /// FNV-1a hash of the canonical JSON encoding of `summary`.
-    payload_hash: u64,
-    /// The memoized flow summary.
-    summary: FlowSummary,
 }
 
 /// A resident entry: the payload plus the stamp of its most recent
@@ -454,7 +431,7 @@ impl FlowCache {
     /// Looks a flow up, consulting the memory tier then the disk tier.
     ///
     /// Disk hits are promoted into the memory tier. Corrupt disk entries
-    /// (bad JSON, wrong key/version, payload-hash mismatch) count as
+    /// (anything [`codec::decode_entry`] rejects, or a key echo mismatch) count as
     /// misses and bump `corrupt_entries`.
     pub fn lookup(&self, key: CacheKey) -> Option<FlowSummary> {
         let mut guard = self.shard_for(key).lock().expect("cache lock");
@@ -469,11 +446,8 @@ impl FlowCache {
             return Some(summary);
         }
         match self.disk_lookup(key) {
-            DiskLookup::Hit { summary, legacy } => {
+            DiskLookup::Hit(summary) => {
                 shard.stats.disk_hits += 1;
-                if legacy {
-                    shard.stats.legacy_json_hits += 1;
-                }
                 Self::insert_memory(shard, self.per_shard, key, summary.clone());
                 Some(summary)
             }
@@ -554,7 +528,10 @@ impl FlowCache {
         let Ok(bytes) = std::fs::read(&path) else {
             return DiskLookup::Absent;
         };
-        verify_entry_bytes(&bytes, key)
+        match codec::decode_entry(&bytes) {
+            Some((echoed, summary)) if echoed == key.0 => DiskLookup::Hit(summary),
+            _ => DiskLookup::Corrupt,
+        }
     }
 
     fn disk_insert(
@@ -578,33 +555,9 @@ impl FlowCache {
 }
 
 enum DiskLookup {
-    Hit { summary: FlowSummary, legacy: bool },
+    Hit(FlowSummary),
     Corrupt,
     Absent,
-}
-
-/// Routes entry bytes to the right decoder by sniffing the binary magic
-/// (JSON entries start with `{`) and integrity-checks the result.
-fn verify_entry_bytes(bytes: &[u8], key: CacheKey) -> DiskLookup {
-    if codec::is_binary_entry(bytes) {
-        return match codec::decode_entry(bytes) {
-            Some((echoed, summary)) if echoed == key.0 => DiskLookup::Hit {
-                summary,
-                legacy: false,
-            },
-            _ => DiskLookup::Corrupt,
-        };
-    }
-    let Ok(text) = std::str::from_utf8(bytes) else {
-        return DiskLookup::Corrupt;
-    };
-    match verify_disk_entry(text, key) {
-        Some(summary) => DiskLookup::Hit {
-            summary,
-            legacy: true,
-        },
-        None => DiskLookup::Corrupt,
-    }
 }
 
 /// Best-effort removal of orphaned `.*.tmp` staging files in `dir`. Only
@@ -658,95 +611,6 @@ fn write_disk_entry(dir: &Path, key: CacheKey, summary: &FlowSummary) -> Result<
     publish_atomic(dir, &path, &bytes)
 }
 
-/// Writes one disk-tier entry in the *legacy JSON* format — exactly the
-/// bytes pre-binary releases produced. Kept (test-only) so the
-/// legacy-read path and [`migrate_disk_tier`] are exercised against the
-/// real historical encoding.
-#[cfg(any(test, feature = "chaos"))]
-pub fn write_legacy_json_entry(
-    dir: &Path,
-    key: CacheKey,
-    summary: &FlowSummary,
-) -> Result<(), CacheError> {
-    std::fs::create_dir_all(dir).map_err(|e| CacheError::Io {
-        path: dir.to_path_buf(),
-        message: e.to_string(),
-    })?;
-    let payload = serde_json::to_string(summary).map_err(|e| CacheError::Encode(e.to_string()))?;
-    let entry = DiskEntry {
-        key: key.0,
-        engine_version: ENGINE_VERSION.to_owned(),
-        payload_hash: fnv1a(payload.as_bytes()),
-        summary: summary.clone(),
-    };
-    let text = serde_json::to_string(&entry).map_err(|e| CacheError::Encode(e.to_string()))?;
-    let path = dir.join(key.file_name());
-    publish_atomic(dir, &path, text.as_bytes())
-}
-
-/// Outcome counters of one [`migrate_disk_tier`] pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MigrateStats {
-    /// Legacy JSON entries rewritten as binary.
-    pub migrated: u64,
-    /// Entries already in the binary format, left untouched.
-    pub already_binary: u64,
-    /// Entries of either format that failed their integrity check; left
-    /// in place (the cache treats them as misses and re-simulates).
-    pub corrupt: u64,
-}
-
-/// Rewrites every legacy JSON entry in a disk tier as a binary entry, in
-/// place and atomically (each rewrite goes through the same temp+rename
-/// publish as a normal insert, so readers and concurrent campaign
-/// writers are never disturbed). Binary entries are left untouched;
-/// corrupt entries of either format are counted and skipped.
-///
-/// This is the engine behind `repro cache migrate --cache-dir DIR`.
-///
-/// # Errors
-///
-/// Returns [`CacheError::Io`] when the directory cannot be read or a
-/// rewritten entry cannot be published.
-pub fn migrate_disk_tier(dir: &Path) -> Result<MigrateStats, CacheError> {
-    let entries = std::fs::read_dir(dir).map_err(|e| CacheError::Io {
-        path: dir.to_path_buf(),
-        message: e.to_string(),
-    })?;
-    let mut stats = MigrateStats::default();
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        let Some(key) = parse_entry_file_name(&name) else {
-            continue;
-        };
-        let Ok(bytes) = std::fs::read(entry.path()) else {
-            continue;
-        };
-        if codec::is_binary_entry(&bytes) {
-            match codec::decode_entry(&bytes) {
-                Some((echoed, _)) if echoed == key.0 => stats.already_binary += 1,
-                _ => stats.corrupt += 1,
-            }
-            continue;
-        }
-        match verify_entry_bytes(&bytes, key) {
-            DiskLookup::Hit { summary, .. } => {
-                write_disk_entry(dir, key, &summary)?;
-                stats.migrated += 1;
-            }
-            _ => stats.corrupt += 1,
-        }
-    }
-    Ok(stats)
-}
-
-/// Parses `flow-{key:016x}.json` back into its [`CacheKey`].
-fn parse_entry_file_name(name: &str) -> Option<CacheKey> {
-    let hex = name.strip_prefix("flow-")?.strip_suffix(".json")?;
-    u64::from_str_radix(hex, 16).ok().map(CacheKey)
-}
-
 /// Stages `bytes` in a unique temp file under `dir` and renames it onto
 /// `path`. See [`write_disk_entry`] for the publication contract.
 pub(crate) fn publish_atomic(dir: &Path, path: &Path, bytes: &[u8]) -> Result<(), CacheError> {
@@ -782,10 +646,8 @@ pub(crate) fn publish_atomic(dir: &Path, path: &Path, bytes: &[u8]) -> Result<()
 }
 
 /// Bit-flips one byte of the stored disk-tier entry for `key` — the
-/// `hsm-chaos` disk-corruption fault. For a binary entry the flip lands
-/// mid-buffer (inside the CRC-protected body); for a legacy JSON entry
-/// it either breaks the JSON, changes the key/version echo, or changes
-/// hashed payload bytes. The integrity check must reject every case.
+/// `hsm-chaos` disk-corruption fault. The flip lands mid-buffer (inside
+/// the CRC-protected body), which the integrity check must reject.
 /// Returns `false` when no entry exists for the key.
 ///
 /// Test/`chaos`-feature builds only.
@@ -812,7 +674,7 @@ pub fn chaos_corrupt_disk_entry(dir: &Path, key: CacheKey) -> Result<bool, Cache
 }
 
 /// Forges a *self-consistent* disk-tier entry: attacker-chosen summary,
-/// matching payload hash, current engine version — the `hsm-chaos`
+/// matching CRC, current engine version — the `hsm-chaos`
 /// stronger corruption fault. The integrity check cannot reject this by
 /// construction; only the differential oracle's warm-vs-fresh comparison
 /// can catch it, which is exactly what the harness proves.
@@ -829,19 +691,6 @@ pub fn chaos_forge_disk_entry(
     summary: &FlowSummary,
 ) -> Result<(), CacheError> {
     write_disk_entry(dir, key, summary)
-}
-
-/// Parses and integrity-checks one disk-tier entry; `None` = corrupt.
-fn verify_disk_entry(text: &str, key: CacheKey) -> Option<FlowSummary> {
-    let entry: DiskEntry = serde_json::from_str(text).ok()?;
-    if entry.key != key.0 || entry.engine_version != ENGINE_VERSION {
-        return None;
-    }
-    let payload = serde_json::to_string(&entry.summary).ok()?;
-    if fnv1a(payload.as_bytes()) != entry.payload_hash {
-        return None;
-    }
-    Some(entry.summary)
 }
 
 #[cfg(test)]
@@ -1147,100 +996,30 @@ mod tests {
     }
 
     #[test]
-    fn legacy_json_entries_hit_and_are_counted() {
-        let dir = std::env::temp_dir().join(format!("hsm_cache_legacy_{}", std::process::id()));
+    fn pre_binary_json_entries_are_resimulated_and_overwritten() {
+        let dir = std::env::temp_dir().join(format!("hsm_cache_json_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let key = CacheKey(0x1234);
-        let s = summary(4);
-        write_legacy_json_entry(&dir, key, &s).unwrap();
-        let cache = FlowCache::new(CacheConfig {
-            memory_entries: 0,
-            disk_dir: Some(dir.clone()),
-            shards: 0,
-        });
-        assert_eq!(cache.lookup(key).as_ref(), Some(&s));
-        let stats = cache.stats();
-        assert_eq!(stats.disk_hits, 1);
-        assert_eq!(stats.legacy_json_hits, 1);
-        assert_eq!(stats.corrupt_entries, 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn migrate_rewrites_legacy_entries_in_place() {
-        let dir = std::env::temp_dir().join(format!("hsm_cache_migrate_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        // Tier contents: two legacy entries, one binary entry, one
-        // corrupt legacy entry, one unrelated file.
-        write_legacy_json_entry(&dir, CacheKey(1), &summary(1)).unwrap();
-        write_legacy_json_entry(&dir, CacheKey(2), &summary(2)).unwrap();
-        let binary_cache = FlowCache::new(CacheConfig {
-            memory_entries: 0,
-            disk_dir: Some(dir.clone()),
-            shards: 0,
-        });
-        binary_cache.insert(CacheKey(3), &summary(3)).unwrap();
-        write_legacy_json_entry(&dir, CacheKey(4), &summary(4)).unwrap();
-        let corrupt_path = dir.join(CacheKey(4).file_name());
-        std::fs::write(&corrupt_path, b"{not json").unwrap();
-        std::fs::write(dir.join("README"), b"not an entry").unwrap();
-
-        let stats = migrate_disk_tier(&dir).unwrap();
-        assert_eq!(
-            stats,
-            MigrateStats {
-                migrated: 2,
-                already_binary: 1,
-                corrupt: 1,
-            }
+        std::fs::create_dir_all(&dir).unwrap();
+        // A JSON entry as releases before the binary format wrote it.
+        let key = CacheKey(5);
+        let json = format!(
+            "{{\"key\":{},\"engine_version\":\"{ENGINE_VERSION}\",\"payload_hash\":0,\"summary\":{}}}",
+            key.0,
+            serde_json::to_string(&summary(5)).unwrap()
         );
-
-        // Every migrated entry is now binary and still hits.
+        std::fs::write(dir.join(key.file_name()), json).unwrap();
         let cache = FlowCache::new(CacheConfig {
             memory_entries: 0,
             disk_dir: Some(dir.clone()),
             shards: 0,
         });
-        for k in [1u64, 2, 3] {
-            let bytes = std::fs::read(dir.join(CacheKey(k).file_name())).unwrap();
-            assert!(codec::is_binary_entry(&bytes), "entry {k} still legacy");
-            assert_eq!(cache.lookup(CacheKey(k)).unwrap(), summary(k as u32));
-        }
-        assert_eq!(cache.stats().legacy_json_hits, 0);
-        // A second pass finds nothing left to do.
-        let again = migrate_disk_tier(&dir).unwrap();
-        assert_eq!(again.migrated, 0);
-        assert_eq!(again.already_binary, 3);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn mixed_format_tier_serves_both_formats_identically() {
-        let dir = std::env::temp_dir().join(format!("hsm_cache_mixed_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        // Same summaries split across formats: lookups must be
-        // indistinguishable apart from the legacy counter.
-        for k in 0..8u64 {
-            if k % 2 == 0 {
-                write_legacy_json_entry(&dir, CacheKey(k), &summary(k as u32)).unwrap();
-            }
-        }
-        let cache = FlowCache::new(CacheConfig {
-            memory_entries: 0,
-            disk_dir: Some(dir.clone()),
-            shards: 0,
-        });
-        for k in 0..8u64 {
-            if k % 2 == 1 {
-                cache.insert(CacheKey(k), &summary(k as u32)).unwrap();
-            }
-        }
-        for k in 0..8u64 {
-            assert_eq!(cache.lookup(CacheKey(k)).unwrap(), summary(k as u32));
-        }
-        let stats = cache.stats();
-        assert_eq!(stats.disk_hits, 8);
-        assert_eq!(stats.legacy_json_hits, 4);
+        assert_eq!(cache.lookup(key), None, "a JSON entry is not a hit");
+        assert_eq!(cache.stats().corrupt_entries, 1);
+        // The re-simulated flow's insert overwrites it with a binary entry.
+        cache.insert(key, &summary(5)).unwrap();
+        let bytes = std::fs::read(dir.join(key.file_name())).unwrap();
+        assert!(codec::is_binary_entry(&bytes));
+        assert_eq!(cache.lookup(key), Some(summary(5)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1264,7 +1043,7 @@ mod tests {
         let fresh = dir.join(".flow-0000000000000002.json.12345.1.tmp");
         std::fs::write(&fresh, b"in flight").unwrap();
         // A real entry must never be swept.
-        write_legacy_json_entry(&dir, CacheKey(7), &summary(7)).unwrap();
+        write_disk_entry(&dir, CacheKey(7), &summary(7)).unwrap();
 
         let cache = FlowCache::new(CacheConfig {
             memory_entries: 0,

@@ -35,9 +35,9 @@
 //! mismatch, CRC mismatch, invalid UTF-8, trailing bytes — decodes to
 //! `None`, which the cache reports as a corrupt entry.
 //!
-//! Legacy JSON entries remain readable ([`is_binary_entry`] sniffs the
-//! magic), so tiers written before this format keep hitting; `repro
-//! cache migrate` rewrites such tiers in place.
+//! JSON entries from releases before this format fail to decode: the
+//! cache counts them as corrupt, re-simulates the flow and overwrites the
+//! entry.
 
 use crate::cache::ENGINE_VERSION;
 use hsm_trace::summary::FlowSummary;
@@ -83,8 +83,8 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// True when `bytes` starts with the binary-entry magic (a JSON entry
-/// starts with `{`, so one 4-byte comparison routes the two formats).
+/// True when `bytes` starts with the binary-entry magic (a pre-binary
+/// JSON entry starts with `{`).
 pub fn is_binary_entry(bytes: &[u8]) -> bool {
     bytes.len() >= MAGIC.len() && bytes[..MAGIC.len()] == MAGIC
 }

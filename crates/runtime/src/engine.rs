@@ -13,7 +13,7 @@
 //! regardless of spawn order, without giving up work-stealing for the
 //! (expensive, uneven) simulated remainder.
 //!
-//! Workers stream each flow through `run_scenario`/`analyze_flow`, and
+//! Workers stream each flow through `try_run_scenario_with`, and
 //! drop the raw `FlowTrace` immediately — only the compact
 //! [`FlowSummary`] survives — so campaigns of tens of thousands of flows
 //! run in near-constant memory. Opting into
@@ -35,6 +35,7 @@ use crate::cache::{CacheConfig, CacheKey, FlowCache, ENGINE_VERSION};
 use crate::error::EngineError;
 use hsm_scenario::dataset::{plan_dataset, plan_stationary_baseline, DatasetConfig, DatasetFlow};
 use hsm_scenario::runner::{try_run_scenario_with, ScenarioConfig, ScenarioOutcome, Scratch};
+use hsm_simnet::chaos::StormPlan;
 use hsm_simnet::event::QueueStats;
 use hsm_trace::summary::FlowSummary;
 use serde::{Deserialize, Serialize};
@@ -523,7 +524,7 @@ impl Campaign {
             }
         }
         let t0 = Instant::now();
-        let outcome = try_run_scenario_with(scratch, config)
+        let outcome = try_run_scenario_with(scratch, config, &StormPlan::default())
             .map_err(|source| EngineError::FlowFailed { index: i, source })?;
         let sim_wall_s = t0.elapsed().as_secs_f64();
         let summary = outcome.analysis.summary.clone();
@@ -551,8 +552,9 @@ impl Campaign {
 /// outcomes (the experiment harness needs raw traces).
 ///
 /// The campaign-index tags of [`plan_dataset`] are re-attached to the
-/// engine's index-ordered output, so this is a drop-in replacement for
-/// `hsm_scenario::dataset::generate_dataset` with telemetry on top.
+/// engine's index-ordered output, so flow `i` of the result is flow `i`
+/// of the plan, tagged with its [`TABLE1`](hsm_scenario::dataset::TABLE1)
+/// campaign, for any worker count.
 ///
 /// # Errors
 ///

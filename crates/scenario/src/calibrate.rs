@@ -179,10 +179,11 @@ pub fn calibration_report(
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use crate::dataset::{generate_dataset, generate_stationary_baseline, DatasetConfig};
+    use crate::dataset::{
+        plan_dataset, plan_stationary_baseline, run_plan_serially, DatasetConfig,
+    };
     use hsm_simnet::time::SimDuration;
 
     #[test]
@@ -222,8 +223,7 @@ mod tests {
             flow_duration: SimDuration::from_secs(45),
             ..Default::default()
         };
-        let flows = generate_dataset(&cfg);
-        let agg = aggregate(&flows);
+        let agg = aggregate(&run_plan_serially(plan_dataset(&cfg)));
         assert!(agg.flows >= 8);
         assert!(agg.total_timeouts > 0, "high-speed flows must hit timeouts");
         // Loss rates within a factor 4 of the paper's order of magnitude.
@@ -258,8 +258,12 @@ mod tests {
             flow_duration: SimDuration::from_secs(45),
             ..Default::default()
         };
-        let hs = aggregate(&generate_dataset(&cfg));
-        let st = aggregate(&generate_stationary_baseline(&cfg, 6));
+        let hs = aggregate(&run_plan_serially(plan_dataset(&cfg)));
+        let st = aggregate(&run_plan_serially(
+            plan_stationary_baseline(&cfg, 6)
+                .into_iter()
+                .map(|c| (usize::MAX, c)),
+        ));
         // The defining contrast of the paper: recovery at speed is much
         // slower, ACK loss much higher.
         assert!(

@@ -8,8 +8,8 @@
 //!   poor corridor coverage);
 //! * [`runner`] — one-call scenario execution: provider + motion + seed →
 //!   simulated flow → trace, analysis, model-ready summary;
-//! * [`dataset`] — the synthetic Table-I dataset (255 flows across four
-//!   campaigns), generated in parallel and fully seed-reproducible;
+//! * [`dataset`] — the synthetic Table-I dataset plan (255 flows across
+//!   four campaigns), fully seed-reproducible;
 //! * [`calibrate`] — the paper's §III headline statistics as calibration
 //!   targets, with paper-vs-measured reporting;
 //! * [`spec`] — declarative TOML campaign specs ([`spec::CampaignSpec`])
@@ -20,11 +20,13 @@
 //! use hsm_scenario::prelude::*;
 //! use hsm_simnet::time::SimDuration;
 //!
-//! let out = run_scenario(&ScenarioConfig {
+//! let config = ScenarioConfig {
 //!     provider: Provider::ChinaUnicom,
 //!     duration: SimDuration::from_secs(10),
 //!     ..Default::default()
-//! });
+//! };
+//! let out = try_run_scenario_with(&mut Scratch::new(), &config, &StormPlan::default())
+//!     .expect("valid configuration");
 //! assert_eq!(out.summary().provider, "China Unicom");
 //! ```
 
@@ -44,20 +46,20 @@ pub mod prelude {
     pub use crate::calibrate::{
         aggregate, calibration_report, CalibrationRow, DatasetAggregates, PaperTargets, PAPER,
     };
-    #[allow(deprecated)]
     pub use crate::dataset::{
-        generate_dataset, generate_dataset_with_workers, generate_stationary_baseline,
         plan_dataset, plan_stationary_baseline, table1_total_flows, DatasetConfig, DatasetFlow,
         MeasurementCampaign, TABLE1,
     };
     pub use crate::provider::Provider;
     pub use crate::runner::{
-        run_scenario, try_run_scenario, try_run_scenario_with, try_run_storm_scenario,
-        try_run_storm_scenario_with, Motion, ScenarioConfig, ScenarioConfigBuilder, ScenarioError,
+        try_run_scenario_with, Motion, ScenarioConfig, ScenarioConfigBuilder, ScenarioError,
         ScenarioOutcome, Scratch, SCENARIO_HIGH_SPEED, SCENARIO_STATIONARY,
     };
     pub use crate::spec::{
         expansion_digest, load_spec, CampaignSpec, GridKind, ScenarioBase, ScenarioGrid, SpecError,
         SweepAxis,
     };
+    /// The uplink storm schedule [`try_run_scenario_with`] takes; empty
+    /// (`StormPlan::default()`) for a calm run.
+    pub use hsm_simnet::chaos::StormPlan;
 }

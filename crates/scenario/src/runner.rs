@@ -8,8 +8,8 @@ use hsm_simnet::mobility::Trajectory;
 use hsm_simnet::time::{SimDuration, SimTime};
 use hsm_tcp::cc::Algorithm;
 use hsm_tcp::connection::{
-    run_connection, try_run_connection_with, try_run_connection_with_storm, ConnectionConfig,
-    ConnectionOutcome, ConnectionScratch, MobilityScenario, PathSpec,
+    try_run_connection_with, ConnectionConfig, ConnectionOutcome, ConnectionScratch,
+    MobilityScenario, PathSpec,
 };
 use hsm_tcp::receiver::ReceiverConfig;
 use hsm_tcp::recovery::Recovery;
@@ -350,6 +350,7 @@ impl ScenarioConfig {
             scenario: self.motion.label().to_owned(),
             mss_bytes: 1460,
             deadline: SimTime::ZERO + self.duration + SimDuration::from_secs(30),
+            storm: StormPlan::default(),
         }
     }
 }
@@ -370,36 +371,6 @@ impl ScenarioOutcome {
     pub fn summary(&self) -> &FlowSummary {
         &self.analysis.summary
     }
-}
-
-/// Runs one scenario end to end.
-///
-/// Infallible twin of [`try_run_scenario`]: an invalid configuration
-/// (zero window, zero delayed-ACK factor, zero duration) produces a
-/// degenerate but well-defined flow rather than an error.
-pub fn run_scenario(config: &ScenarioConfig) -> ScenarioOutcome {
-    let path = config.path();
-    let mobility = config.mobility();
-    let conn = config.connection();
-    let outcome = run_connection(config.seed, &path, mobility.as_ref(), &conn);
-    let analysis = analyze_flow(&outcome.trace, &TimeoutConfig::default());
-    ScenarioOutcome {
-        config: config.clone(),
-        outcome,
-        analysis,
-    }
-}
-
-/// Fallible twin of [`run_scenario`]: validates the configuration first
-/// and surfaces engine corruption as an error instead of a panic.
-///
-/// # Errors
-///
-/// Returns [`ScenarioError`] when the configuration fails
-/// [`ScenarioConfig::validate`], or [`ScenarioError::Engine`] when the
-/// simulation engine reports internal bookkeeping corruption.
-pub fn try_run_scenario(config: &ScenarioConfig) -> Result<ScenarioOutcome, ScenarioError> {
-    try_run_scenario_with(&mut Scratch::new(), config)
 }
 
 /// Reusable working memory for scenario runs.
@@ -429,19 +400,32 @@ impl Scratch {
     }
 }
 
-/// [`try_run_scenario`] through a caller-held [`Scratch`].
+/// Runs one scenario end to end through a caller-held [`Scratch`]:
+/// validate, simulate, analyse.
+///
+/// `storm` is a chaos-storm schedule replayed on the uplink — the §V
+/// recovery-study rig: the scenario's provider path and motion stay as
+/// configured while the storm superimposes deterministic ACK-delay or
+/// ACK-burst episodes, and the full trace/analysis pipeline still runs,
+/// so storm flows yield the same model-ready [`FlowSummary`] campaign
+/// flows do. The empty plan (`&StormPlan::default()`) is the identity:
+/// the built world is bit-identical to a storm-free one.
 ///
 /// # Errors
 ///
-/// Same contract as [`try_run_scenario`].
+/// Returns [`ScenarioError`] when the configuration fails
+/// [`ScenarioConfig::validate`], or [`ScenarioError::Engine`] when the
+/// simulation engine reports internal bookkeeping corruption.
 pub fn try_run_scenario_with(
     scratch: &mut Scratch,
     config: &ScenarioConfig,
+    storm: &StormPlan,
 ) -> Result<ScenarioOutcome, ScenarioError> {
     config.validate()?;
     let path = config.path();
     let mobility = config.mobility();
-    let conn = config.connection();
+    let mut conn = config.connection();
+    conn.storm.clone_from(storm);
     let outcome = try_run_connection_with(
         &mut scratch.conn,
         config.seed,
@@ -457,58 +441,14 @@ pub fn try_run_scenario_with(
     })
 }
 
-/// [`try_run_scenario_with`] plus a chaos-storm schedule replayed on the
-/// uplink — the §V recovery-study rig: the scenario's provider path and
-/// motion stay as configured while the storm superimposes deterministic
-/// ACK-delay or ACK-burst episodes, and the full trace/analysis pipeline
-/// still runs, so storm flows yield the same model-ready [`FlowSummary`]
-/// campaign flows do. An empty plan is the identity: the built world is
-/// bit-identical to [`try_run_scenario_with`]'s.
-///
-/// # Errors
-///
-/// Same contract as [`try_run_scenario`].
-pub fn try_run_storm_scenario_with(
-    scratch: &mut Scratch,
-    config: &ScenarioConfig,
-    plan: &StormPlan,
-) -> Result<ScenarioOutcome, ScenarioError> {
-    config.validate()?;
-    let path = config.path();
-    let mobility = config.mobility();
-    let conn = config.connection();
-    let outcome = try_run_connection_with_storm(
-        &mut scratch.conn,
-        config.seed,
-        &path,
-        mobility.as_ref(),
-        plan,
-        &conn,
-    )?;
-    let analysis = analyze_flow(&outcome.trace, &TimeoutConfig::default());
-    Ok(ScenarioOutcome {
-        config: config.clone(),
-        outcome,
-        analysis,
-    })
-}
-
-/// Convenience wrapper over [`try_run_storm_scenario_with`] with a fresh
-/// scratch.
-///
-/// # Errors
-///
-/// Same contract as [`try_run_scenario`].
-pub fn try_run_storm_scenario(
-    config: &ScenarioConfig,
-    plan: &StormPlan,
-) -> Result<ScenarioOutcome, ScenarioError> {
-    try_run_storm_scenario_with(&mut Scratch::new(), config, plan)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn run(config: &ScenarioConfig) -> ScenarioOutcome {
+        try_run_scenario_with(&mut Scratch::new(), config, &StormPlan::default())
+            .expect("valid config runs")
+    }
 
     #[test]
     fn stationary_flow_is_clean() {
@@ -518,7 +458,7 @@ mod tests {
             seed: 3,
             ..Default::default()
         };
-        let out = run_scenario(&cfg);
+        let out = run(&cfg);
         let s = out.summary();
         assert_eq!(s.scenario, SCENARIO_STATIONARY);
         assert!(s.p_d < 0.01, "p_d {}", s.p_d);
@@ -528,12 +468,12 @@ mod tests {
 
     #[test]
     fn high_speed_flow_suffers() {
-        let hs = run_scenario(&ScenarioConfig {
+        let hs = run(&ScenarioConfig {
             duration: SimDuration::from_secs(60),
             seed: 5,
             ..Default::default()
         });
-        let st = run_scenario(&ScenarioConfig {
+        let st = run(&ScenarioConfig {
             motion: Motion::Stationary,
             duration: SimDuration::from_secs(60),
             seed: 5,
@@ -586,26 +526,6 @@ mod tests {
     }
 
     #[test]
-    fn try_run_scenario_rejects_invalid_and_matches_run() {
-        let bad = ScenarioConfig {
-            w_m: 0,
-            ..Default::default()
-        };
-        assert_eq!(
-            try_run_scenario(&bad).unwrap_err(),
-            ScenarioError::ZeroWindow
-        );
-        let good = ScenarioConfig::builder()
-            .motion(Motion::Stationary)
-            .duration(SimDuration::from_secs(5))
-            .build()
-            .unwrap();
-        let a = try_run_scenario(&good).expect("valid config runs");
-        let b = run_scenario(&good);
-        assert_eq!(a.summary(), b.summary());
-    }
-
-    #[test]
     fn reused_scratch_matches_fresh_scenario_runs() {
         let mut scratch = Scratch::new();
         // Mix motions and providers so the scratch crosses engine shapes
@@ -631,8 +551,9 @@ mod tests {
             },
         ];
         for cfg in &configs {
-            let reused = try_run_scenario_with(&mut scratch, cfg).expect("valid config");
-            let fresh = run_scenario(cfg);
+            let reused = try_run_scenario_with(&mut scratch, cfg, &StormPlan::default())
+                .expect("valid config");
+            let fresh = run(cfg);
             assert_eq!(reused.summary(), fresh.summary(), "seed {}", cfg.seed);
             assert_eq!(reused.outcome.trace, fresh.outcome.trace);
         }
@@ -642,7 +563,8 @@ mod tests {
                 &ScenarioConfig {
                     w_m: 0,
                     ..Default::default()
-                }
+                },
+                &StormPlan::default(),
             )
             .unwrap_err(),
             ScenarioError::ZeroWindow
@@ -670,8 +592,9 @@ mod tests {
                 })
                 .collect(),
         };
-        let stormy = try_run_storm_scenario(&config, &plan).expect("storm run");
-        let calm = try_run_scenario(&config).expect("calm run");
+        let mut scratch = Scratch::new();
+        let stormy = try_run_scenario_with(&mut scratch, &config, &plan).expect("storm run");
+        let calm = run(&config);
         assert!(
             stormy.summary().timeouts > calm.summary().timeouts,
             "storm must raise timeouts: {} vs {}",
@@ -681,12 +604,12 @@ mod tests {
         assert!(stormy.summary().throughput_sps > 0.0);
         assert!(stormy.summary().throughput_sps < calm.summary().throughput_sps);
 
-        // Empty plan = identity; reused scratch = fresh run.
-        let mut scratch = Scratch::new();
-        let empty = try_run_storm_scenario_with(&mut scratch, &config, &StormPlan::default())
+        // A scratch reused after a storm run is clean again; a storm run
+        // through a reused scratch replays the fresh one.
+        let empty = try_run_scenario_with(&mut scratch, &config, &StormPlan::default())
             .expect("empty-plan run");
         assert_eq!(empty.summary(), calm.summary());
-        let reused = try_run_storm_scenario_with(&mut scratch, &config, &plan).expect("reused");
+        let reused = try_run_scenario_with(&mut scratch, &config, &plan).expect("reused");
         assert_eq!(reused.summary(), stormy.summary());
     }
 
@@ -816,7 +739,7 @@ mod tests {
         assert_eq!(conn.receiver.b, 1);
         assert_eq!(conn.flow, 9);
         assert_eq!(conn.provider, "China Mobile");
-        let out = run_scenario(&ScenarioConfig {
+        let out = run(&ScenarioConfig {
             duration: SimDuration::from_secs(10),
             ..cfg
         });

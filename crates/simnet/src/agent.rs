@@ -127,7 +127,7 @@ mod tests {
                 .prop_delay(SimDuration::from_millis(10)),
         );
         eng.inject(hop1, Packet::data(FlowId(0), SeqNo(0), false));
-        eng.run_until_idle();
+        eng.try_run_until(SimTime::MAX).unwrap();
         // 1 ms tx + 10 ms + 1 ms tx + 20 ms = 32 ms.
         assert_eq!(eng.now(), SimTime::from_millis(32));
         assert_eq!(eng.agent_mut::<RelayAgent>(relay).unwrap().forwarded, 1);

@@ -322,7 +322,7 @@ mod tests {
             layout,
             HandoffParams::lte_rail(),
         )));
-        eng.run_until_idle();
+        eng.try_run_until(SimTime::MAX).unwrap();
         let stats = eng.agent_mut::<ChannelProcess>(proc_id).unwrap().stats;
         assert!(
             (8..=12).contains(&stats.handoffs),
@@ -344,7 +344,7 @@ mod tests {
         eng.add_agent(Box::new(ChannelProcess::new(
             down, up, traj, layout, params,
         )));
-        eng.run_until_idle();
+        eng.try_run_until(SimTime::MAX).unwrap();
         // After the trip everything must be back to normal.
         assert!(
             eng.link(down).loss.outage().is_none()
@@ -367,7 +367,7 @@ mod tests {
             CellLayout::rail_corridor(2_000.0, 0.0),
             HandoffParams::lte_rail(),
         )));
-        eng.run_until(SimTime::from_secs(100));
+        eng.try_run_until(SimTime::from_secs(100)).unwrap();
         let stats = eng.agent_mut::<ChannelProcess>(proc_id).unwrap().stats;
         assert_eq!(stats.handoffs, 0);
     }

@@ -219,7 +219,8 @@ mod tests {
         let plan = StormPlan::from_seed(seed, SimDuration::from_secs(3));
         assert!(!plan.episodes.is_empty(), "seed {seed} produced no storm");
         let injector = eng.add_agent(Box::new(StormInjector::new(wire, plan)));
-        eng.run_until(SimTime::ZERO + SimDuration::from_secs(5));
+        eng.try_run_until(SimTime::ZERO + SimDuration::from_secs(5))
+            .unwrap();
         let applied = eng
             .agent_mut::<StormInjector>(injector)
             .expect("injector")
@@ -252,7 +253,8 @@ mod tests {
                 sent: 0,
                 budget: 3000,
             }));
-            eng.run_until(SimTime::ZERO + SimDuration::from_secs(5));
+            eng.try_run_until(SimTime::ZERO + SimDuration::from_secs(5))
+                .unwrap();
             eng.link(wire).delivered
         };
         assert_eq!(calm_delivery, 3000);
@@ -288,6 +290,7 @@ mod tests {
         let plan = StormPlan::from_seed(7, SimDuration::from_secs(1));
         eng.add_agent(Box::new(StormInjector::new(wire, plan)));
         eng.link_mut(wire).inject_conservation_violation();
-        eng.run_until(SimTime::ZERO + SimDuration::from_secs(2));
+        eng.try_run_until(SimTime::ZERO + SimDuration::from_secs(2))
+            .unwrap();
     }
 }

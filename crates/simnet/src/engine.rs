@@ -40,8 +40,8 @@
 //! with nothing in flight, a delivery with none pending) surfaces as a
 //! structured [`SimError`] from [`Engine::try_run_until`] instead of
 //! panicking, so campaign runners can fail one flow and keep the process
-//! alive. The infallible [`Engine::run_until`] wrapper panics on those
-//! errors and is fine for tests and examples.
+//! alive. It is the engine's only run entry point; running to idle is a
+//! `SimTime::MAX` deadline.
 //!
 //! # Examples
 //!
@@ -58,7 +58,7 @@
 //! let echo = eng.add_agent(Box::new(Echo::default()));
 //! let link = eng.add_link(LinkSpec::new(echo, "wire"));
 //! eng.inject(link, Packet::data(FlowId(0), SeqNo(0), false));
-//! eng.run_until_idle();
+//! eng.try_run_until(SimTime::MAX).expect("engine invariants hold");
 //! assert_eq!(eng.agent_mut::<Echo>(echo).unwrap().got, 1);
 //! ```
 
@@ -559,38 +559,6 @@ impl Engine {
         Ok(processed)
     }
 
-    /// Infallible twin of [`Engine::try_run_until`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine reports a [`SimError`] — campaign runners that
-    /// must survive a corrupt run use the fallible twin instead.
-    pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        match self.try_run_until(deadline) {
-            Ok(processed) => processed,
-            Err(e) => panic!("simulation engine invariant violated: {e}"),
-        }
-    }
-
-    /// Runs until the event queue drains or an agent stops the engine.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SimError`] if the engine's internal bookkeeping is
-    /// corrupt (see the module docs).
-    pub fn try_run_until_idle(&mut self) -> Result<u64, SimError> {
-        self.try_run_until(SimTime::MAX)
-    }
-
-    /// Infallible twin of [`Engine::try_run_until_idle`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine reports a [`SimError`].
-    pub fn run_until_idle(&mut self) -> u64 {
-        self.run_until(SimTime::MAX)
-    }
-
     /// True once an agent has requested a stop.
     pub fn stopped(&self) -> bool {
         self.core.stop_requested
@@ -683,7 +651,7 @@ mod tests {
     #[test]
     fn packets_arrive_after_tx_plus_prop_delay() {
         let (mut eng, sink, _rec) = build(1, 0.0, 1);
-        eng.run_until_idle();
+        eng.try_run_until(SimTime::MAX).unwrap();
         let sink = eng.agent_mut::<Sink>(sink).unwrap();
         assert_eq!(sink.deliveries.len(), 1);
         // 1500 bytes at 12 Mbit/s = 1 ms tx + 10 ms prop = 11 ms.
@@ -693,7 +661,7 @@ mod tests {
     #[test]
     fn lossy_link_drops_roughly_expected_fraction() {
         let (mut eng, sink, rec) = build(7, 0.3, 3000);
-        eng.run_until_idle();
+        eng.try_run_until(SimTime::MAX).unwrap();
         let delivered = eng.agent_mut::<Sink>(sink).unwrap().deliveries.len() as f64;
         let rate = 1.0 - delivered / 3000.0;
         assert!((rate - 0.3).abs() < 0.05, "loss rate {rate}");
@@ -709,7 +677,7 @@ mod tests {
     fn identical_seeds_reproduce_exactly() {
         let trace = |seed| {
             let (mut eng, sink, _r) = build(seed, 0.2, 500);
-            eng.run_until_idle();
+            eng.try_run_until(SimTime::MAX).unwrap();
             eng.agent_mut::<Sink>(sink).unwrap().deliveries.clone()
         };
         assert_eq!(trace(99), trace(99));
@@ -742,7 +710,7 @@ mod tests {
             } else {
                 eng.add_observer(Box::new(rec.clone()));
             }
-            eng.run_until_idle();
+            eng.try_run_until(SimTime::MAX).unwrap();
             rec.take_events()
         };
         assert_eq!(run(true), run(false));
@@ -775,7 +743,7 @@ mod tests {
 
         let mut fresh = Engine::new(42);
         let (sink, rec) = wire(&mut fresh);
-        fresh.run_until_idle();
+        fresh.try_run_until(SimTime::MAX).unwrap();
         let fresh_deliveries = fresh.agent_mut::<Sink>(sink).unwrap().deliveries.clone();
         let fresh_events = rec.take_events();
         let fresh_count = fresh.events_processed();
@@ -783,12 +751,12 @@ mod tests {
         // Dirty an engine with a different seed, then reset it to 42.
         let mut recycled = Engine::new(7);
         let _ = wire(&mut recycled);
-        recycled.run_until(SimTime::from_millis(100));
+        recycled.try_run_until(SimTime::from_millis(100)).unwrap();
         recycled.reset(42);
         assert_eq!(recycled.events_processed(), 0);
         assert_eq!(recycled.now(), SimTime::ZERO);
         let (sink2, rec2) = wire(&mut recycled);
-        recycled.run_until_idle();
+        recycled.try_run_until(SimTime::MAX).unwrap();
         assert_eq!(
             recycled.agent_mut::<Sink>(sink2).unwrap().deliveries,
             fresh_deliveries
@@ -800,10 +768,10 @@ mod tests {
     #[test]
     fn run_until_respects_deadline() {
         let (mut eng, _sink, _r) = build(1, 0.0, 100);
-        eng.run_until(SimTime::from_millis(5));
+        eng.try_run_until(SimTime::from_millis(5)).unwrap();
         assert!(eng.now() <= SimTime::from_millis(5));
         let before = eng.events_processed();
-        eng.run_until_idle();
+        eng.try_run_until(SimTime::MAX).unwrap();
         assert!(eng.events_processed() > before);
     }
 
@@ -823,7 +791,7 @@ mod tests {
     fn agent_can_stop_engine() {
         let mut eng = Engine::new(0);
         eng.add_agent(Box::new(Stopper));
-        eng.run_until_idle();
+        eng.try_run_until(SimTime::MAX).unwrap();
         assert!(eng.stopped());
         assert_eq!(eng.now(), SimTime::from_millis(1));
     }
@@ -847,7 +815,7 @@ mod tests {
         }
         let mut eng = Engine::new(0);
         let id = eng.add_agent(Box::new(Cancels { fired: false }));
-        eng.run_until_idle();
+        eng.try_run_until(SimTime::MAX).unwrap();
         assert!(eng.agent_mut::<Cancels>(id).unwrap().fired);
     }
 
@@ -885,7 +853,7 @@ mod tests {
             fired: Vec::new(),
             cancel_ok: None,
         }));
-        let processed = eng.run_until_idle();
+        let processed = eng.try_run_until(SimTime::MAX).unwrap();
         let agent = eng.agent_mut::<SiblingCancel>(id).unwrap();
         assert_eq!(agent.fired, vec![1, 3], "tombstoned timer must not fire");
         assert_eq!(agent.cancel_ok, Some(true), "mid-batch cancel succeeds");
@@ -896,7 +864,7 @@ mod tests {
     #[test]
     fn queue_stats_surface_schedule_and_cancel_counts() {
         let (mut eng, _sink, _rec) = build(1, 0.0, 10);
-        eng.run_until_idle();
+        eng.try_run_until(SimTime::MAX).unwrap();
         let stats = eng.queue_stats();
         assert!(stats.schedules > 0);
         assert!(stats.max_depth >= 1);
@@ -915,7 +883,7 @@ mod tests {
     fn lossy_link_conserves_packets() {
         // injected = delivered + dropped, per link, after the queue drains.
         let (mut eng, _sink, _rec) = build(11, 0.25, 2000);
-        eng.run_until_idle();
+        eng.try_run_until(SimTime::MAX).unwrap();
         let link = eng.link(LinkId::from_raw(0));
         assert_eq!(link.offered, 2000);
         assert_eq!(
@@ -930,11 +898,11 @@ mod tests {
     #[should_panic(expected = "packet conservation violated")]
     fn conservation_check_fires_on_injected_violation() {
         let (mut eng, _sink, _rec) = build(1, 0.0, 5);
-        eng.run_until_idle();
+        eng.try_run_until(SimTime::MAX).unwrap();
         eng.link_mut(LinkId::from_raw(0))
             .inject_conservation_violation();
         // Any subsequent run re-checks the ledger and must refuse it.
-        eng.run_until_idle();
+        eng.try_run_until(SimTime::MAX).unwrap();
     }
 
     #[test]
@@ -966,14 +934,14 @@ mod tests {
         let link =
             eng.add_link(LinkSpec::new(sink, "wire").prop_delay(SimDuration::from_millis(50)));
         eng.add_agent(Box::new(Corruptor { link }));
-        let err = eng.try_run_until_idle().unwrap_err();
+        let err = eng.try_run_until(SimTime::MAX).unwrap_err();
         assert_eq!(err, SimError::DeliverUnderflow { link });
     }
 
     #[test]
     fn delivery_reports_real_link_to_observers() {
         let (mut eng, _sink, rec) = build(2, 0.0, 3);
-        eng.run_until_idle();
+        eng.try_run_until(SimTime::MAX).unwrap();
         let delivered: Vec<_> = rec
             .events()
             .iter()
@@ -999,7 +967,7 @@ mod tests {
         );
         eng.inject(link, Packet::data(FlowId(0), SeqNo(0), false));
         eng.inject(link, Packet::data(FlowId(0), SeqNo(1), false));
-        eng.run_until_idle();
+        eng.try_run_until(SimTime::MAX).unwrap();
         let d = &eng.agent_mut::<Sink>(sink).unwrap().deliveries;
         assert_eq!(d.len(), 2);
         assert_eq!(d[0], SimTime::from_millis(15));

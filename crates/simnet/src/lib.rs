@@ -36,7 +36,7 @@
 //! for seq in 0..10 {
 //!     eng.inject(wire, Packet::data(FlowId(0), SeqNo(seq), false));
 //! }
-//! eng.run_until_idle();
+//! eng.try_run_until(SimTime::MAX).expect("engine invariants hold");
 //! assert_eq!(eng.agent_mut::<Sink>(sink).unwrap().got, 10);
 //! ```
 

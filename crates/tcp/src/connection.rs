@@ -155,6 +155,12 @@ pub struct ConnectionConfig {
     pub mss_bytes: u32,
     /// Hard wall-clock (simulated) limit for the run.
     pub deadline: SimTime,
+    /// Chaos-storm schedule replayed against the uplink: the rig for
+    /// studying ACK-delay and ACK-burst impairments (paper §V) with the
+    /// full trace/analysis pipeline attached. The empty default adds no
+    /// injector agent, so the built world is bit-identical to a storm-free
+    /// one. Only [`try_run_connection_with`] applies it.
+    pub storm: StormPlan,
 }
 
 impl Default for ConnectionConfig {
@@ -167,6 +173,7 @@ impl Default for ConnectionConfig {
             scenario: String::from("unlabelled"),
             mss_bytes: 1460,
             deadline: SimTime::from_secs(3_600),
+            storm: StormPlan::default(),
         }
     }
 }
@@ -274,83 +281,24 @@ impl ConnectionScratch {
     }
 }
 
-/// Builds, runs and harvests a single TCP flow.
+/// Builds, runs and harvests a single TCP flow through a caller-held
+/// [`ConnectionScratch`] — the allocation-recycling path campaign workers
+/// use to run thousands of flows per engine.
 ///
 /// The run ends when the sender finishes (`stop_after`/`max_segments`),
 /// the event queue drains, or `cfg.deadline` passes — whichever comes
 /// first.
-pub fn run_connection(
-    seed: u64,
-    path: &PathSpec,
-    mobility: Option<&MobilityScenario>,
-    cfg: &ConnectionConfig,
-) -> ConnectionOutcome {
-    match try_run_connection(seed, path, mobility, cfg) {
-        Ok(outcome) => outcome,
-        Err(e) => panic!("simulation engine invariant violated: {e}"),
-    }
-}
-
-/// Fallible twin of [`run_connection`]: engine bookkeeping corruption
-/// surfaces as a [`SimError`] instead of panicking, so campaign runners
-/// can fail one flow and keep the process alive.
 ///
 /// # Errors
 ///
-/// Returns the [`SimError`] reported by [`Engine::try_run_until`].
-pub fn try_run_connection(
-    seed: u64,
-    path: &PathSpec,
-    mobility: Option<&MobilityScenario>,
-    cfg: &ConnectionConfig,
-) -> Result<ConnectionOutcome, SimError> {
-    try_run_connection_with(&mut ConnectionScratch::new(), seed, path, mobility, cfg)
-}
-
-/// [`try_run_connection`] through a caller-held [`ConnectionScratch`] —
-/// the allocation-recycling path campaign workers use to run thousands of
-/// flows per engine.
-///
-/// # Errors
-///
-/// Returns the [`SimError`] reported by [`Engine::try_run_until`].
+/// Returns the [`SimError`] reported by [`Engine::try_run_until`]:
+/// engine bookkeeping corruption fails this one flow instead of the
+/// process.
 pub fn try_run_connection_with(
     scratch: &mut ConnectionScratch,
     seed: u64,
     path: &PathSpec,
     mobility: Option<&MobilityScenario>,
-    cfg: &ConnectionConfig,
-) -> Result<ConnectionOutcome, SimError> {
-    run_connection_world(scratch, seed, path, mobility, None, cfg)
-}
-
-/// [`try_run_connection_with`] plus a deterministic chaos-storm schedule
-/// replayed against the uplink — the rig for studying ACK-delay and
-/// ACK-burst impairments (paper §V) with the full trace/analysis
-/// pipeline attached. With an empty plan the built world is identical to
-/// the storm-free one (no injector agent is added).
-///
-/// # Errors
-///
-/// Returns the [`SimError`] reported by [`Engine::try_run_until`].
-pub fn try_run_connection_with_storm(
-    scratch: &mut ConnectionScratch,
-    seed: u64,
-    path: &PathSpec,
-    mobility: Option<&MobilityScenario>,
-    storm: &StormPlan,
-    cfg: &ConnectionConfig,
-) -> Result<ConnectionOutcome, SimError> {
-    let storm = (!storm.episodes.is_empty()).then_some(storm);
-    run_connection_world(scratch, seed, path, mobility, storm, cfg)
-}
-
-fn run_connection_world(
-    scratch: &mut ConnectionScratch,
-    seed: u64,
-    path: &PathSpec,
-    mobility: Option<&MobilityScenario>,
-    storm: Option<&StormPlan>,
     cfg: &ConnectionConfig,
 ) -> Result<ConnectionOutcome, SimError> {
     scratch.engine.reset(seed);
@@ -396,10 +344,10 @@ fn run_connection_world(
         )))
     });
     // The storm rides the uplink: delayed/lost ACK bursts are the §V
-    // impairment under study. Absent a plan, no agent is added and the
-    // world is bit-identical to the pre-storm one.
-    if let Some(plan) = storm {
-        eng.add_agent(Box::new(StormInjector::new(up, plan.clone())));
+    // impairment under study. An empty plan adds no agent, so calm runs
+    // build exactly the storm-free world.
+    if !cfg.storm.episodes.is_empty() {
+        eng.add_agent(Box::new(StormInjector::new(up, cfg.storm.clone())));
     }
 
     eng.add_delivery_log(scratch.deliveries.clone());
@@ -446,6 +394,16 @@ mod tests {
     use super::*;
     use hsm_trace::prelude::*;
 
+    fn run(
+        seed: u64,
+        path: &PathSpec,
+        mobility: Option<&MobilityScenario>,
+        cfg: &ConnectionConfig,
+    ) -> ConnectionOutcome {
+        try_run_connection_with(&mut ConnectionScratch::new(), seed, path, mobility, cfg)
+            .expect("engine invariants hold")
+    }
+
     #[test]
     fn lossless_run_produces_clean_trace() {
         let cfg = ConnectionConfig {
@@ -455,7 +413,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let out = run_connection(1, &PathSpec::default(), None, &cfg);
+        let out = run(1, &PathSpec::default(), None, &cfg);
         assert_eq!(out.sender.retransmissions, 0);
         assert_eq!(out.receiver.next_expected, 300);
         let a = analyze_flow(&out.trace, &TimeoutConfig::default());
@@ -489,7 +447,7 @@ mod tests {
             up_loss: LossSpec::Bernoulli(0.004),
             ..Default::default()
         };
-        let out = run_connection(7, &path, None, &cfg);
+        let out = run(7, &path, None, &cfg);
         let a = analyze_flow(&out.trace, &TimeoutConfig::default());
         // The trace-derived loss rate must match the sender's view.
         assert!(a.summary.p_d > 0.0);
@@ -517,7 +475,7 @@ mod tests {
             layout: CellLayout::rail_corridor(1_000.0, 0.02),
             handoff: HandoffParams::lte_rail(),
         };
-        let out = run_connection(21, &PathSpec::default(), Some(&mob), &cfg);
+        let out = run(21, &PathSpec::default(), Some(&mob), &cfg);
         let stats = out.channel.expect("channel stats");
         assert!(stats.handoffs >= 3, "handoffs {}", stats.handoffs);
         assert_eq!(out.trace.meta.scenario, "high-speed");
@@ -541,7 +499,7 @@ mod tests {
         for seed in [3u64, 11, 3] {
             let reused = try_run_connection_with(&mut scratch, seed, &path, None, &cfg)
                 .expect("scratch run succeeds");
-            let fresh = run_connection(seed, &path, None, &cfg);
+            let fresh = run(seed, &path, None, &cfg);
             assert_eq!(reused.trace, fresh.trace, "seed {seed}");
             assert_eq!(reused.sender.retransmissions, fresh.sender.retransmissions);
             assert_eq!(reused.receiver, fresh.receiver);
@@ -556,7 +514,7 @@ mod tests {
             deadline: SimTime::from_secs(5),
             ..Default::default() // endless sender
         };
-        let out = run_connection(3, &PathSpec::default(), None, &cfg);
+        let out = run(3, &PathSpec::default(), None, &cfg);
         assert!(out.finished_at <= SimTime::from_secs(5));
         assert!(!out.trace.records.is_empty());
     }
@@ -565,31 +523,35 @@ mod tests {
     fn storm_runs_are_deterministic_and_empty_plans_are_identity() {
         use hsm_simnet::chaos::{StormEpisode, StormKind};
 
-        let cfg = ConnectionConfig {
+        let calm_cfg = ConnectionConfig {
             sender: SenderConfig {
                 stop_after: Some(SimDuration::from_secs(10)),
                 ..Default::default()
             },
             ..Default::default()
         };
-        let path = PathSpec::default();
-        let plan = StormPlan {
-            episodes: vec![StormEpisode {
-                at: SimTime::from_millis(500),
-                duration: SimDuration::from_millis(900),
-                kind: StormKind::Flap(SimDuration::from_millis(900)),
-            }],
+        let cfg = ConnectionConfig {
+            storm: StormPlan {
+                episodes: vec![StormEpisode {
+                    at: SimTime::from_millis(500),
+                    duration: SimDuration::from_millis(900),
+                    kind: StormKind::Flap(SimDuration::from_millis(900)),
+                }],
+            },
+            ..calm_cfg.clone()
         };
+        let path = PathSpec::default();
         let mut scratch = ConnectionScratch::new();
-        let stormy = try_run_connection_with_storm(&mut scratch, 9, &path, None, &plan, &cfg)
+        let stormy = try_run_connection_with(&mut scratch, 9, &path, None, &cfg)
             .expect("storm run succeeds");
-        let replay = try_run_connection_with_storm(&mut scratch, 9, &path, None, &plan, &cfg)
+        let replay = try_run_connection_with(&mut scratch, 9, &path, None, &cfg)
             .expect("storm replay succeeds");
         assert_eq!(stormy.trace, replay.trace, "storm runs must replay");
 
         // The delay flap must actually bite: timeouts appear that the
         // storm-free run does not have.
-        let calm = try_run_connection_with(&mut scratch, 9, &path, None, &cfg).expect("calm run");
+        let calm =
+            try_run_connection_with(&mut scratch, 9, &path, None, &calm_cfg).expect("calm run");
         assert!(
             stormy.sender.timeouts.len() > calm.sender.timeouts.len(),
             "storm {} vs calm {} timeouts",
@@ -597,18 +559,11 @@ mod tests {
             calm.sender.timeouts.len()
         );
 
-        // An empty plan adds no injector agent: bit-identical world.
-        let empty = try_run_connection_with_storm(
-            &mut scratch,
-            9,
-            &path,
-            None,
-            &StormPlan::default(),
-            &cfg,
-        )
-        .expect("empty-plan run succeeds");
-        assert_eq!(empty.trace, calm.trace);
-        assert_eq!(empty.events_processed, calm.events_processed);
+        // The empty default plan adds no injector agent: a fresh-scratch
+        // calm run is bit-identical to the one after the storm runs.
+        let fresh = run(9, &path, None, &calm_cfg);
+        assert_eq!(fresh.trace, calm.trace);
+        assert_eq!(fresh.events_processed, calm.events_processed);
     }
 
     #[test]

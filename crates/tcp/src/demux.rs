@@ -68,7 +68,7 @@ mod tests {
         for (flow, seq) in [(0u32, 0u64), (1, 0), (0, 1), (2, 0)] {
             eng.inject(shared, Packet::data(FlowId(flow), SeqNo(seq), false));
         }
-        eng.run_until_idle();
+        eng.try_run_until(SimTime::MAX).unwrap();
         assert_eq!(eng.agent_mut::<NullAgent>(sink_a).unwrap().received, 2);
         assert_eq!(eng.agent_mut::<NullAgent>(sink_b).unwrap().received, 1);
         assert_eq!(eng.agent_mut::<Demux>(demux_id).unwrap().unrouted, 1);

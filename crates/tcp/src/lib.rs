@@ -29,7 +29,9 @@
 //!     sender: SenderConfig { max_segments: Some(50), ..Default::default() },
 //!     ..Default::default()
 //! };
-//! let out = run_connection(1, &PathSpec::default(), None, &cfg);
+//! let mut scratch = ConnectionScratch::new();
+//! let out = try_run_connection_with(&mut scratch, 1, &PathSpec::default(), None, &cfg)
+//!     .expect("engine invariants hold");
 //! assert_eq!(out.receiver.next_expected, 50);
 //! ```
 
@@ -42,19 +44,17 @@ pub mod cwnd;
 pub mod demux;
 pub mod metrics;
 pub mod mptcp;
-pub mod newreno;
 pub mod receiver;
 pub mod recovery;
 pub mod reno;
 pub mod rtt;
-pub mod veno;
 
 /// Convenient glob-import surface: `use hsm_tcp::prelude::*;`.
 pub mod prelude {
     pub use crate::cc::{Bbr, Compound, CongestionControl, Cubic};
     pub use crate::connection::{
-        run_connection, try_run_connection, try_run_connection_with, ConnectionConfig,
-        ConnectionOutcome, ConnectionScratch, LossSpec, MobilityScenario, PathSpec,
+        try_run_connection_with, ConnectionConfig, ConnectionOutcome, ConnectionScratch, LossSpec,
+        MobilityScenario, PathSpec,
     };
     pub use crate::cwnd::{Algorithm, Cwnd, Phase};
     pub use crate::demux::Demux;
@@ -62,10 +62,8 @@ pub mod prelude {
     pub use crate::mptcp::{
         run_mptcp_duplex, run_mptcp_shared_radio, run_with_backup_path, MptcpOutcome,
     };
-    pub use crate::newreno::new_reno_sender;
     pub use crate::receiver::{AdaptiveDelAck, Receiver, ReceiverConfig};
     pub use crate::recovery::{AckDisposition, LossRecovery, Recovery, TimeoutPlan};
     pub use crate::reno::{RenoSender, SenderConfig};
     pub use crate::rtt::{Backoff, RttEstimator};
-    pub use crate::veno::{veno_config, veno_sender};
 }

@@ -46,8 +46,8 @@ pub struct SenderMetrics {
     pub acks_received: u64,
     /// Duplicate ACKs received.
     pub dup_acks_received: u64,
-    /// Timeouts detected as spurious and undone (the legacy
-    /// `spurious_rto_undo` flag or the F-RTO recovery strategy).
+    /// Timeouts the F-RTO recovery strategy detected as spurious and
+    /// undone.
     pub spurious_rto_undone: u64,
     /// New-data probe segments sent by the F-RTO state machine
     /// (RFC 5682 step 2b; at most two per timeout).

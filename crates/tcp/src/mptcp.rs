@@ -21,6 +21,7 @@ use crate::metrics::{ReceiverMetrics, SenderMetrics};
 use crate::receiver::Receiver;
 use crate::reno::RenoSender;
 use hsm_simnet::cellular::{ChannelProcess, ChannelStats};
+use hsm_simnet::error::SimError;
 use hsm_simnet::link::{LinkId, LinkSpec};
 use hsm_simnet::observer::VecRecorder;
 use hsm_simnet::packet::FlowId;
@@ -95,12 +96,16 @@ fn build_path(
 /// Each subflow uses `cfg` with flow ids `cfg.flow` and `cfg.flow + 1`.
 /// When `mobility` is provided, each path gets its *own* channel process
 /// (independent handoff randomness — disjoint carriers).
+///
+/// # Errors
+///
+/// Returns the [`SimError`] reported by [`Engine::try_run_until`].
 pub fn run_mptcp_duplex(
     seed: u64,
     paths: [&PathSpec; 2],
     mobility: Option<&MobilityScenario>,
     cfg: &ConnectionConfig,
-) -> MptcpOutcome {
+) -> Result<MptcpOutcome, SimError> {
     let mut eng = Engine::new(seed);
     let placeholder = LinkId::from_raw(u32::MAX);
     let mut txs = Vec::new();
@@ -132,7 +137,7 @@ pub fn run_mptcp_duplex(
     }
     let recorder = VecRecorder::new();
     eng.add_recorder(recorder.clone());
-    eng.run_until(cfg.deadline);
+    eng.try_run_until(cfg.deadline)?;
 
     let base_meta = FlowMeta {
         provider: cfg.provider.clone(),
@@ -159,12 +164,12 @@ pub fn run_mptcp_duplex(
         .iter()
         .map(|&c| eng.agent_mut::<ChannelProcess>(c).expect("channel").stats)
         .collect();
-    MptcpOutcome {
+    Ok(MptcpOutcome {
         subflows,
         senders,
         receivers,
         channels,
-    }
+    })
 }
 
 /// Runs a single flow whose timeout retransmissions are duplicated over a
@@ -172,13 +177,17 @@ pub fn run_mptcp_duplex(
 ///
 /// Returns the flow trace (which includes the redundant copies) and the
 /// endpoint metrics.
+///
+/// # Errors
+///
+/// Returns the [`SimError`] reported by [`Engine::try_run_until`].
 pub fn run_with_backup_path(
     seed: u64,
     primary: &PathSpec,
     backup: &PathSpec,
     mobility: Option<&MobilityScenario>,
     cfg: &ConnectionConfig,
-) -> crate::connection::ConnectionOutcome {
+) -> Result<crate::connection::ConnectionOutcome, SimError> {
     let mut eng = Engine::new(seed);
     let placeholder = LinkId::from_raw(u32::MAX);
     let flow = FlowId(cfg.flow);
@@ -211,7 +220,7 @@ pub fn run_with_backup_path(
     });
     let recorder = VecRecorder::new();
     eng.add_recorder(recorder.clone());
-    eng.run_until(cfg.deadline);
+    eng.try_run_until(cfg.deadline)?;
 
     let meta = FlowMeta {
         provider: cfg.provider.clone(),
@@ -223,7 +232,7 @@ pub fn run_with_backup_path(
     let trace =
         hsm_trace::capture::single_flow_trace(&recorder.take_events(), cfg.flow, meta.clone())
             .unwrap_or_else(|| FlowTrace::new(cfg.flow, meta));
-    crate::connection::ConnectionOutcome {
+    Ok(crate::connection::ConnectionOutcome {
         trace,
         sender: eng
             .agent_mut::<RenoSender>(tx)
@@ -235,7 +244,7 @@ pub fn run_with_backup_path(
         finished_at: eng.now(),
         events_processed: eng.events_processed(),
         queue: eng.queue_stats(),
-    }
+    })
 }
 
 /// Runs two subflows through **one shared radio** (the single-handset
@@ -247,12 +256,16 @@ pub fn run_with_backup_path(
 /// Against a disjoint-path duplex run, this isolates how much of the
 /// MPTCP gain comes from *extra capacity* versus from *filling the dead
 /// time* a single flow spends in timeout recovery.
+///
+/// # Errors
+///
+/// Returns the [`SimError`] reported by [`Engine::try_run_until`].
 pub fn run_mptcp_shared_radio(
     seed: u64,
     path: &PathSpec,
     mobility: Option<&MobilityScenario>,
     cfg: &ConnectionConfig,
-) -> MptcpOutcome {
+) -> Result<MptcpOutcome, SimError> {
     let mut eng = Engine::new(seed);
     let placeholder = LinkId::from_raw(u32::MAX);
     let flows = [cfg.flow, cfg.flow + 1];
@@ -332,8 +345,7 @@ pub fn run_mptcp_shared_radio(
     });
     let recorder = VecRecorder::new();
     eng.add_recorder(recorder.clone());
-    let deadline = cfg.deadline;
-    eng.run_until(deadline);
+    eng.try_run_until(cfg.deadline)?;
 
     let base_meta = FlowMeta {
         provider: cfg.provider.clone(),
@@ -347,7 +359,7 @@ pub fn run_mptcp_shared_radio(
         |_| base_meta.clone(),
         Some("internal"),
     );
-    MptcpOutcome {
+    Ok(MptcpOutcome {
         subflows,
         senders: txs
             .iter()
@@ -365,13 +377,13 @@ pub fn run_mptcp_shared_radio(
         channels: chan
             .map(|c| vec![eng.agent_mut::<ChannelProcess>(c).expect("channel").stats])
             .unwrap_or_default(),
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::connection::{run_connection, LossSpec};
+    use crate::connection::{try_run_connection_with, ConnectionScratch, LossSpec};
     use crate::reno::SenderConfig;
     use hsm_simnet::time::SimTime;
 
@@ -409,7 +421,7 @@ mod tests {
         let cfg = timed_cfg(30);
         let p1 = lossy_path();
         let p2 = PathSpec::default();
-        let out = run_mptcp_duplex(5, [&p1, &p2], None, &cfg);
+        let out = run_mptcp_duplex(5, [&p1, &p2], None, &cfg).unwrap();
         assert_eq!(out.subflows.len(), 2);
         assert_eq!(out.senders.len(), 2);
         assert!(out.aggregate_throughput_sps() > 0.0);
@@ -422,12 +434,13 @@ mod tests {
     fn duplex_beats_single_flow_on_bad_paths() {
         let cfg = timed_cfg(60);
         let p = lossy_path();
-        let single = run_connection(9, &p, None, &cfg);
+        let single =
+            try_run_connection_with(&mut ConnectionScratch::new(), 9, &p, None, &cfg).unwrap();
         let single_tp = {
             let a = hsm_trace::summary::analyze_flow(&single.trace, &Default::default());
             a.summary.throughput_sps
         };
-        let duplex = run_mptcp_duplex(9, [&p, &p], None, &cfg);
+        let duplex = run_mptcp_duplex(9, [&p, &p], None, &cfg).unwrap();
         let agg = duplex.aggregate_throughput_sps();
         assert!(
             agg > single_tp,
@@ -439,7 +452,7 @@ mod tests {
     fn shared_radio_runs_both_subflows_through_one_pipe() {
         let cfg = timed_cfg(30);
         let path = PathSpec::default();
-        let out = run_mptcp_shared_radio(3, &path, None, &cfg);
+        let out = run_mptcp_shared_radio(3, &path, None, &cfg).unwrap();
         assert_eq!(out.subflows.len(), 2);
         for (i, t) in out.subflows.iter().enumerate() {
             assert!(
@@ -472,11 +485,12 @@ mod tests {
             down_bandwidth_bps: 6_000_000, // ~500 seg/s, well under W_m/RTT
             ..Default::default()
         };
-        let single = run_connection(4, &path, None, &cfg);
+        let single =
+            try_run_connection_with(&mut ConnectionScratch::new(), 4, &path, None, &cfg).unwrap();
         let single_tp = hsm_trace::summary::analyze_flow(&single.trace, &Default::default())
             .summary
             .throughput_sps;
-        let shared = run_mptcp_shared_radio(4, &path, None, &cfg);
+        let shared = run_mptcp_shared_radio(4, &path, None, &cfg).unwrap();
         let agg = shared.aggregate_throughput_sps();
         assert!(
             agg < single_tp * 1.5,
@@ -496,8 +510,9 @@ mod tests {
         let cfg = timed_cfg(60);
         let bad = lossy_path();
         let clean = PathSpec::default();
-        let without = run_connection(11, &bad, None, &cfg);
-        let with = run_with_backup_path(11, &bad, &clean, None, &cfg);
+        let without =
+            try_run_connection_with(&mut ConnectionScratch::new(), 11, &bad, None, &cfg).unwrap();
+        let with = run_with_backup_path(11, &bad, &clean, None, &cfg).unwrap();
         assert!(
             with.receiver.next_expected >= without.receiver.next_expected,
             "backup {} vs plain {}",

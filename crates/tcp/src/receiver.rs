@@ -315,7 +315,7 @@ mod tests {
             h.eng
                 .inject(h.downlink, Packet::data(FlowId(0), SeqNo(seq), false));
         }
-        h.eng.run_until_idle();
+        h.eng.try_run_until(SimTime::MAX).unwrap();
         let acks = acks_sent(&h.rec);
         // b = 2: two ACKs, each covering two segments.
         assert_eq!(acks, vec![(2, 2), (4, 2)]);
@@ -329,7 +329,7 @@ mod tests {
         let mut h = harness(ReceiverConfig::default());
         h.eng
             .inject(h.downlink, Packet::data(FlowId(0), SeqNo(0), false));
-        h.eng.run_until_idle();
+        h.eng.try_run_until(SimTime::MAX).unwrap();
         let acks = acks_sent(&h.rec);
         assert_eq!(acks, vec![(1, 1)], "flushed by the 100 ms delack timer");
         // The flush happened at delivery (+5ms) + 100 ms.
@@ -348,7 +348,7 @@ mod tests {
             h.eng
                 .inject(h.downlink, Packet::data(FlowId(0), SeqNo(seq), false));
         }
-        h.eng.run_until_idle();
+        h.eng.try_run_until(SimTime::MAX).unwrap();
         let acks = acks_sent(&h.rec);
         // First ACK may be delayed; the three OOO arrivals each force an
         // immediate ACK with cum = 1.
@@ -367,11 +367,11 @@ mod tests {
             h.eng
                 .inject(h.downlink, Packet::data(FlowId(0), SeqNo(seq), false));
         }
-        h.eng.run_until(SimTime::from_millis(50));
+        h.eng.try_run_until(SimTime::from_millis(50)).unwrap();
         // Fill the hole.
         h.eng
             .inject(h.downlink, Packet::data(FlowId(0), SeqNo(1), false));
-        h.eng.run_until_idle();
+        h.eng.try_run_until(SimTime::MAX).unwrap();
         let acks = acks_sent(&h.rec);
         assert_eq!(
             acks.last().unwrap().0,
@@ -389,10 +389,10 @@ mod tests {
         });
         h.eng
             .inject(h.downlink, Packet::data(FlowId(0), SeqNo(0), false));
-        h.eng.run_until(SimTime::from_millis(50));
+        h.eng.try_run_until(SimTime::from_millis(50)).unwrap();
         h.eng
             .inject(h.downlink, Packet::data(FlowId(0), SeqNo(0), true)); // spurious retx
-        h.eng.run_until_idle();
+        h.eng.try_run_until(SimTime::MAX).unwrap();
         let rx = h.eng.agent_mut::<Receiver>(h.rx).unwrap();
         assert_eq!(rx.metrics.duplicate_payloads, 1);
         let acks = acks_sent(&h.rec);
@@ -411,7 +411,7 @@ mod tests {
             h.eng
                 .inject(h.downlink, Packet::data(FlowId(0), SeqNo(seq), false));
         }
-        h.eng.run_until_idle();
+        h.eng.try_run_until(SimTime::MAX).unwrap();
         assert_eq!(acks_sent(&h.rec).len(), 5);
     }
 
@@ -430,7 +430,7 @@ mod tests {
             h.eng
                 .inject(h.downlink, Packet::data(FlowId(0), SeqNo(seq), false));
         }
-        h.eng.run_until_idle();
+        h.eng.try_run_until(SimTime::MAX).unwrap();
         let rx = h.eng.agent_mut::<Receiver>(h.rx).unwrap();
         assert_eq!(
             rx.current_b(),
@@ -455,12 +455,12 @@ mod tests {
             h.eng
                 .inject(h.downlink, Packet::data(FlowId(0), SeqNo(seq), false));
         }
-        h.eng.run_until(SimTime::from_secs(2));
+        h.eng.try_run_until(SimTime::from_secs(2)).unwrap();
         assert!(h.eng.agent_mut::<Receiver>(h.rx).unwrap().current_b() > 1);
         // A gap (seq 17 before 16... inject 18 to create disorder).
         h.eng
             .inject(h.downlink, Packet::data(FlowId(0), SeqNo(18), false));
-        h.eng.run_until_idle();
+        h.eng.try_run_until(SimTime::MAX).unwrap();
         let rx = h.eng.agent_mut::<Receiver>(h.rx).unwrap();
         assert_eq!(rx.current_b(), 1, "disorder resets the delayed window");
     }

@@ -7,10 +7,10 @@
 //! the lost segment (Fig. 2) — which is exactly why a lossy recovery phase
 //! (`q`) is so expensive.
 //!
-//! Two extensions live behind configuration flags:
+//! Two extensions live behind configuration:
 //!
-//! * `newreno` — NewReno partial-ACK handling (stay in fast recovery until
-//!   the `recover` point is acknowledged);
+//! * [`SenderConfig::newreno`] — NewReno partial-ACK handling (stay in
+//!   fast recovery until the `recover` point is acknowledged);
 //! * `backup_link` — MPTCP-backup-style *redundant retransmission*: after
 //!   a timeout the lost segment is retransmitted on the primary **and** a
 //!   backup path, reducing the effective retransmission loss rate from `q`
@@ -39,17 +39,18 @@ pub struct SenderConfig {
     pub min_rto: SimDuration,
     /// Upper RTO bound.
     pub max_rto: SimDuration,
-    /// Enable NewReno partial-ACK handling.
+    /// Enable NewReno (RFC 6582) partial-ACK handling.
+    ///
+    /// The paper bases its model on Reno ("TCP Reno is the basis of the
+    /// other TCP versions", §II) but cites the NewReno throughput model of
+    /// Parvez et al. as related work. With this flag, a *partial* ACK
+    /// during fast recovery (advancing the cumulative point but short of
+    /// the `recover` mark) retransmits the next hole and stays in fast
+    /// recovery instead of exiting — repairing multiple losses in one
+    /// window without a timeout.
     pub newreno: bool,
     /// Congestion-control algorithm (any member of the [`crate::cc`] zoo).
     pub algorithm: Algorithm,
-    /// F-RTO-style spurious-RTO response: when the first ACK after a
-    /// timeout covers more than the single retransmitted segment, the
-    /// original in-flight data must have arrived — the timeout was
-    /// spurious. Undo the congestion-window collapse and skip the
-    /// go-back-N resends. A future-work mitigation for the paper's
-    /// spurious-timeout problem (exercised by the `ext_undo` experiment).
-    pub spurious_rto_undo: bool,
     /// Loss-recovery countermeasure (any member of the [`crate::recovery`]
     /// zoo). [`Recovery::None`] reproduces the plain RFC 6298 recovery the
     /// paper measures.
@@ -69,7 +70,6 @@ impl Default for SenderConfig {
             max_rto: SimDuration::from_secs(60),
             newreno: false,
             algorithm: Algorithm::Reno,
-            spurious_rto_undo: false,
             recovery: Recovery::None,
             stop_after: None,
             max_segments: None,
@@ -79,13 +79,6 @@ impl Default for SenderConfig {
 
 const TAG_STOP: u64 = 1;
 const TAG_RTO_BASE: u64 = 1_000;
-
-/// Saved state for the F-RTO-style spurious-RTO undo.
-#[derive(Debug)]
-struct RtoUndo {
-    cwnd: Box<dyn CongestionControl>,
-    armed_snd_una: u64,
-}
 
 /// The Reno sender agent with an infinite backlog of data.
 #[derive(Debug)]
@@ -115,7 +108,6 @@ pub struct RenoSender {
     rto_timer: Option<EventId>,
     rto_gen: u64,
     timing: Option<(u64, SimTime)>,
-    undo: Option<RtoUndo>,
     /// The pluggable loss-recovery countermeasure (§V).
     recovery: Box<dyn LossRecovery>,
     /// Congestion controller snapshot taken when the F-RTO strategy arms;
@@ -147,7 +139,6 @@ impl RenoSender {
             rto_timer: None,
             rto_gen: 0,
             timing: None,
-            undo: None,
             recovery: cfg.recovery.build(),
             frto_cwnd: None,
             stopped: false,
@@ -341,18 +332,6 @@ impl RenoSender {
             // retransmit below the cumulative point.
             self.snd_nxt = self.snd_nxt.max(self.snd_una);
             self.backoff.reset();
-            // F-RTO-style undo, evaluated on the first new ACK after an
-            // RTO: if it covers more than the one retransmitted segment,
-            // the original in-flight data must have arrived — the timeout
-            // was spurious.
-            if let Some(undo) = self.undo.take() {
-                if cum > undo.armed_snd_una + 1 {
-                    self.cwnd = undo.cwnd;
-                    // The old in-flight data was not lost: skip go-back-N.
-                    self.snd_nxt = self.high_water.max(self.snd_una);
-                    self.metrics.spurious_rto_undone += 1;
-                }
-            }
             match disposition {
                 AckDisposition::SendNewData => {
                     // RFC 5682 step 2b: defer the recovery decision —
@@ -492,17 +471,6 @@ impl RenoSender {
             // is lost too" repeat-RTO path: the loss is genuine.
             self.frto_cwnd = None;
         }
-        // Arm the undo only at the *first* rung of a ladder, so the saved
-        // window is the pre-collapse one; it is consumed (fired or
-        // discarded) by the first new ACK either way. The F-RTO strategy
-        // supersedes it (double-restoring would count one timeout as two
-        // spurious undos).
-        if self.cfg.spurious_rto_undo && !plan.arm_frto && self.undo.is_none() {
-            self.undo = Some(RtoUndo {
-                cwnd: self.cwnd.clone_box(),
-                armed_snd_una: self.snd_una,
-            });
-        }
         let flight = self.flight();
         self.cwnd.on_timeout(flight);
         if plan.skip_backoff {
@@ -638,7 +606,7 @@ mod tests {
             0.0,
             0.0,
         );
-        w.eng.run_until_idle();
+        w.eng.try_run_until(SimTime::MAX).unwrap();
         let rx = w.eng.agent_mut::<Receiver>(w.rx).unwrap();
         assert_eq!(rx.next_expected(), SeqNo(200));
         assert_eq!(rx.metrics.duplicate_payloads, 0);
@@ -664,7 +632,7 @@ mod tests {
             0.0,
             0.0,
         );
-        w.eng.run_until(SimTime::from_millis(400));
+        w.eng.try_run_until(SimTime::from_millis(400)).unwrap();
         let tx = w.eng.agent_mut::<RenoSender>(w.tx).unwrap();
         // After several RTTs (~55 ms each) of lossless slow start the
         // window must have grown well beyond the initial 1.
@@ -694,7 +662,7 @@ mod tests {
             SimTime::from_millis(302),
             1.0,
         )));
-        w.eng.run_until_idle();
+        w.eng.try_run_until(SimTime::MAX).unwrap();
         let tx = w.eng.agent_mut::<RenoSender>(w.tx).unwrap();
         assert!(tx.metrics.retransmissions >= 1);
         assert!(
@@ -724,7 +692,7 @@ mod tests {
             SimTime::from_millis(1200),
             1.0,
         )));
-        w.eng.run_until_idle();
+        w.eng.try_run_until(SimTime::MAX).unwrap();
         let tx = w.eng.agent_mut::<RenoSender>(w.tx).unwrap();
         assert!(
             tx.metrics.timeout_count() >= 1,
@@ -754,7 +722,7 @@ mod tests {
             SimTime::from_millis(4_000),
             1.0,
         )));
-        w.eng.run_until_idle();
+        w.eng.try_run_until(SimTime::MAX).unwrap();
         let tx = w.eng.agent_mut::<RenoSender>(w.tx).unwrap();
         let rtos = &tx.metrics.rto_at_timeout;
         assert!(rtos.len() >= 3, "rtos: {rtos:?}");
@@ -783,7 +751,7 @@ mod tests {
             SimTime::from_millis(900),
             1.0,
         )));
-        w.eng.run_until_idle();
+        w.eng.try_run_until(SimTime::MAX).unwrap();
         let tx = w.eng.agent_mut::<RenoSender>(w.tx).unwrap();
         assert!(
             tx.metrics.timeout_count() >= 1,
@@ -809,7 +777,7 @@ mod tests {
             0.02,
             0.01,
         );
-        w.eng.run_until(SimTime::from_secs(600));
+        w.eng.try_run_until(SimTime::from_secs(600)).unwrap();
         let rx = w.eng.agent_mut::<Receiver>(w.rx).unwrap();
         assert_eq!(
             rx.next_expected(),
@@ -830,7 +798,7 @@ mod tests {
             0.0,
             0.0,
         );
-        w.eng.run_until_idle();
+        w.eng.try_run_until(SimTime::MAX).unwrap();
         assert!(w.eng.stopped());
         assert!(w.eng.now() >= SimTime::from_secs(2));
         let tx = w.eng.agent_mut::<RenoSender>(w.tx).unwrap();
@@ -850,22 +818,26 @@ mod tests {
             0.0,
             0.0,
         );
-        w.eng.run_until_idle();
+        w.eng.try_run_until(SimTime::MAX).unwrap();
         let tx = w.eng.agent_mut::<RenoSender>(w.tx).unwrap();
         assert!(tx.metrics.cwnd_log.iter().all(|s| s.window <= 4));
     }
 
     #[test]
-    fn spurious_rto_undo_restores_the_window() {
-        // A pure ACK blackout: the timeout is spurious. The original
-        // window's data keeps arriving, so the first ACK after the blackout
-        // arrives almost immediately after the (needless) retransmission.
-        let run = |undo: bool| {
+    fn frto_cannot_undo_an_ack_blackout_longer_than_the_rto() {
+        // A pure ACK blackout: the timeout is spurious, since the original
+        // window's data keeps arriving. But the blackout outlasts the
+        // retransmission's own RTO, so RFC 5682's repeat-RTO rule declares
+        // the loss genuine: F-RTO undoes nothing here, and must cost
+        // nothing against plain recovery either. (Restoring the window is
+        // covered by `frto_undoes_the_delay_storm_timeout_and_beats_no_recovery`.)
+        use crate::recovery::Recovery;
+        let run = |recovery| {
             let mut w = world(
                 12,
                 SenderConfig {
                     max_segments: Some(1_000),
-                    spurious_rto_undo: undo,
+                    recovery,
                     ..Default::default()
                 },
                 ReceiverConfig::default(),
@@ -877,42 +849,39 @@ mod tests {
                 SimTime::from_millis(1_100),
                 1.0,
             )));
-            w.eng.run_until_idle();
+            w.eng.try_run_until(SimTime::MAX).unwrap();
             let tx = w.eng.agent_mut::<RenoSender>(w.tx).unwrap();
             (
                 tx.metrics.spurious_rto_undone,
+                tx.metrics.timeout_count(),
                 tx.metrics.retransmissions,
                 w.eng.now(),
             )
         };
-        let (undone, retx_undo, finish_undo) = run(true);
-        let (baseline_undone, retx_plain, finish_plain) = run(false);
-        assert_eq!(baseline_undone, 0);
+        let (undone, timeouts, retx_frto, finish_frto) = run(Recovery::Frto);
+        let (undone_none, _, retx_none, finish_none) = run(Recovery::None);
+        assert!(timeouts >= 1, "the blackout must drive a timeout");
+        assert_eq!(undone, 0, "repeat-RTO rule: the blackout reads as genuine");
+        assert_eq!(undone_none, 0);
         assert!(
-            undone >= 1,
-            "the blackout timeout must be detected as spurious"
+            retx_frto <= retx_none,
+            "F-RTO must not add retransmissions ({retx_frto} vs {retx_none})"
         );
         assert!(
-            retx_undo <= retx_plain,
-            "undo must not add retransmissions ({retx_undo} vs {retx_plain})"
-        );
-        // Undoing the window collapse can only help completion time.
-        assert!(
-            finish_undo <= finish_plain,
-            "undo must not slow the flow ({finish_undo} vs {finish_plain})"
+            finish_frto <= finish_none,
+            "F-RTO must not slow the flow ({finish_frto} vs {finish_none})"
         );
     }
 
     #[test]
     fn genuine_timeouts_are_not_undone() {
-        // A real downlink outage: the data is genuinely lost, so the first
-        // ACK after recovery arrives a full backed-off RTO later — far
-        // past the undo deadline.
+        // A real downlink outage: the data is genuinely lost, so F-RTO's
+        // probe round cannot advance and nothing may be undone.
         let mut w = world(
             13,
             SenderConfig {
                 max_segments: Some(400),
-                spurious_rto_undo: true,
+                recovery: crate::recovery::Recovery::Frto,
                 ..Default::default()
             },
             ReceiverConfig::default(),
@@ -924,13 +893,56 @@ mod tests {
             SimTime::from_millis(1_500),
             1.0,
         )));
-        w.eng.run_until_idle();
+        w.eng.try_run_until(SimTime::MAX).unwrap();
         let tx = w.eng.agent_mut::<RenoSender>(w.tx).unwrap();
         assert!(tx.metrics.timeout_count() >= 1);
         assert_eq!(
             tx.metrics.spurious_rto_undone, 0,
             "a genuine loss must not trigger the undo"
         );
+    }
+
+    /// NewReno rig: 600 segments, per-segment ACKs, optionally a short
+    /// surgical downlink outage that kills several segments of one window.
+    /// Returns (delivered, timeouts, fast retransmits).
+    fn run_newreno(seed: u64, multi_loss: bool) -> (u64, usize, usize) {
+        let sender = SenderConfig {
+            max_segments: Some(600),
+            newreno: true,
+            ..Default::default()
+        };
+        let receiver = ReceiverConfig {
+            b: 1,
+            ..Default::default()
+        };
+        let mut w = world(seed, sender, receiver, 0.0, 0.0);
+        if multi_loss {
+            w.eng.link_mut(w.down).loss.set_outage(Some(Outage::new(
+                SimTime::from_millis(400),
+                SimTime::from_millis(406),
+                1.0,
+            )));
+        }
+        w.eng.try_run_until(SimTime::MAX).unwrap();
+        let tx = w.eng.agent_mut::<RenoSender>(w.tx).unwrap();
+        let (timeouts, fast) = (tx.metrics.timeouts.len(), tx.metrics.fast_retransmits.len());
+        let rx = w.eng.agent_mut::<Receiver>(w.rx).unwrap();
+        (rx.next_expected().as_u64(), timeouts, fast)
+    }
+
+    #[test]
+    fn newreno_completes_cleanly_without_loss() {
+        let (delivered, timeouts, fast) = run_newreno(1, false);
+        assert_eq!(delivered, 600);
+        assert_eq!(timeouts, 0);
+        assert_eq!(fast, 0);
+    }
+
+    #[test]
+    fn newreno_repairs_multi_loss_window() {
+        let (delivered, _timeouts, fast) = run_newreno(2, true);
+        assert_eq!(delivered, 600, "all segments eventually delivered");
+        assert!(fast >= 1, "expected a fast-retransmit recovery");
     }
 
     /// A delayed-but-not-lost ACK-burst storm: `episodes` delay spikes on
@@ -973,7 +985,7 @@ mod tests {
         use crate::recovery::Recovery;
         let run = |recovery| {
             let mut w = flap_world(17, recovery);
-            w.eng.run_until_idle();
+            w.eng.try_run_until(SimTime::MAX).unwrap();
             let tx = w.eng.agent_mut::<RenoSender>(w.tx).unwrap();
             (
                 tx.metrics.spurious_rto_undone,
@@ -1020,7 +1032,7 @@ mod tests {
             SimTime::from_millis(4_000),
             1.0,
         )));
-        w.eng.run_until_idle();
+        w.eng.try_run_until(SimTime::MAX).unwrap();
         let tx = w.eng.agent_mut::<RenoSender>(w.tx).unwrap();
         assert_eq!(tx.metrics.spurious_rto_undone, 0);
         let rtos = &tx.metrics.rto_at_timeout;
@@ -1036,7 +1048,7 @@ mod tests {
     fn frto_spurious_undo_resets_the_backoff_ladder() {
         use crate::recovery::Recovery;
         let mut w = flap_world(18, Recovery::Frto);
-        w.eng.run_until_idle();
+        w.eng.try_run_until(SimTime::MAX).unwrap();
         let tx = w.eng.agent_mut::<RenoSender>(w.tx).unwrap();
         assert!(tx.metrics.spurious_rto_undone >= 1);
         // The advancing ACKs that resolved the (spurious) episodes reset
@@ -1066,7 +1078,7 @@ mod tests {
                 SimTime::from_millis(1_200),
                 1.0,
             )));
-            w.eng.run_until_idle();
+            w.eng.try_run_until(SimTime::MAX).unwrap();
             let tx = w.eng.agent_mut::<RenoSender>(w.tx).unwrap();
             let timeouts = tx.metrics.timeout_count();
             let retx = tx.metrics.retransmissions;
@@ -1091,7 +1103,7 @@ mod tests {
         // signature in the inter-arrival history, the second's timeout
         // withholds its backoff.
         let mut w = flap_world(19, Recovery::AckRobust);
-        w.eng.run_until_idle();
+        w.eng.try_run_until(SimTime::MAX).unwrap();
         let tx = w.eng.agent_mut::<RenoSender>(w.tx).unwrap();
         assert!(
             tx.metrics.backoff_skipped >= 1,
@@ -1120,7 +1132,7 @@ mod tests {
             SimTime::from_millis(4_000),
             1.0,
         )));
-        w.eng.run_until_idle();
+        w.eng.try_run_until(SimTime::MAX).unwrap();
         let tx = w.eng.agent_mut::<RenoSender>(w.tx).unwrap();
         assert_eq!(tx.metrics.backoff_skipped, 0);
         let rtos = &tx.metrics.rto_at_timeout;
@@ -1152,7 +1164,7 @@ mod tests {
                 SimTime::from_millis(1_500),
                 1.0,
             )));
-            w.eng.run_until_idle();
+            w.eng.try_run_until(SimTime::MAX).unwrap();
             let tx = w.eng.agent_mut::<RenoSender>(w.tx).unwrap();
             assert!(tx.metrics.timeout_count() >= 1, "{recovery:?}");
             assert_eq!(
@@ -1184,7 +1196,7 @@ mod tests {
                     0.01,
                     0.01,
                 );
-                w.eng.run_until(SimTime::from_secs(120));
+                w.eng.try_run_until(SimTime::from_secs(120)).unwrap();
                 let rx = w.eng.agent_mut::<Receiver>(w.rx).unwrap();
                 assert_eq!(
                     rx.next_expected(),
@@ -1208,7 +1220,7 @@ mod tests {
                 0.01,
                 0.005,
             );
-            w.eng.run_until_idle();
+            w.eng.try_run_until(SimTime::MAX).unwrap();
             let tx = w.eng.agent_mut::<RenoSender>(w.tx).unwrap();
             (
                 tx.metrics.segments_sent,

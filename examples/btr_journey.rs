@@ -8,12 +8,13 @@
 //! (release recommended: the full trip simulates ~20 simulated minutes)
 
 use hsm::scenario::prelude::*;
+use hsm::simnet::error::SimError;
 use hsm::simnet::mobility::ms_to_kmh;
 use hsm::simnet::time::SimTime;
 use hsm::tcp::prelude::*;
 use hsm::trace::prelude::*;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     // The real trajectory (acceleration, 300 km/h cruise, braking).
     let trajectory = btr::trajectory();
     let provider = Provider::ChinaUnicom;
@@ -39,7 +40,13 @@ fn main() {
         duration.as_secs_f64() / 60.0,
         provider.name()
     );
-    let out = run_connection(2024, &provider.high_speed_path(), Some(&mobility), &conn);
+    let out = try_run_connection_with(
+        &mut ConnectionScratch::new(),
+        2024,
+        &provider.high_speed_path(),
+        Some(&mobility),
+        &conn,
+    )?;
 
     // Carve the trace into 60 s windows and report per-window throughput.
     let trace = &out.trace;
@@ -97,4 +104,5 @@ fn main() {
             ch.handoffs, ch.failed_handoffs
         );
     }
+    Ok(())
 }

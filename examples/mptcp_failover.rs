@@ -28,7 +28,9 @@ fn main() -> Result<(), hsm::Error> {
     );
 
     // 1. Plain TCP.
-    let plain = run_connection(sc.seed, &path, mobility.as_ref(), &conn);
+    let mut scratch = ConnectionScratch::new();
+    let plain = try_run_connection_with(&mut scratch, sc.seed, &path, mobility.as_ref(), &conn)
+        .map_err(ScenarioError::Engine)?;
     let plain_a = analyze_flow(&plain.trace, &TimeoutConfig::default());
     println!(
         "plain TCP:        {:7.1} seg/s   ({} timeouts, mean recovery {:.2} s)",
@@ -36,7 +38,8 @@ fn main() -> Result<(), hsm::Error> {
     );
 
     // 2. MPTCP duplex mode: two subflows over disjoint carriers.
-    let duplex = run_mptcp_duplex(sc.seed, [&path, &path], mobility.as_ref(), &conn);
+    let duplex = run_mptcp_duplex(sc.seed, [&path, &path], mobility.as_ref(), &conn)
+        .map_err(ScenarioError::Engine)?;
     let agg = duplex.aggregate_throughput_sps();
     println!(
         "MPTCP duplex:     {:7.1} seg/s   ({:+.1}% vs plain)",
@@ -52,7 +55,8 @@ fn main() -> Result<(), hsm::Error> {
         &PathSpec::default(),
         mobility.as_ref(),
         &conn,
-    );
+    )
+    .map_err(ScenarioError::Engine)?;
     let backup_a = analyze_flow(&backup.trace, &TimeoutConfig::default());
     println!(
         "MPTCP backup:     {:7.1} seg/s   (q̂ {:.1}% -> {:.1}%, recovery {:.2} s -> {:.2} s)",

@@ -11,10 +11,13 @@
 // relative drift is detectable; the extra digits are the point.
 #![allow(clippy::excessive_precision)]
 
-use hsm::scenario::runner::{Motion, ScenarioConfig};
+use hsm::scenario::runner::{try_run_scenario_with, Motion, ScenarioConfig, Scratch};
+use hsm::simnet::chaos::StormPlan;
 use hsm::simnet::time::{SimDuration, SimTime};
 use hsm::tcp::cc::Algorithm;
-use hsm::tcp::connection::{run_connection, ConnectionConfig, LossSpec, PathSpec};
+use hsm::tcp::connection::{
+    try_run_connection_with, ConnectionConfig, ConnectionScratch, LossSpec, PathSpec,
+};
 use hsm::tcp::reno::SenderConfig;
 use hsm_runtime::cache::{CacheConfig, FlowCache};
 use hsm_runtime::engine::Campaign;
@@ -37,7 +40,8 @@ fn random_loss_throughput(algorithm: Algorithm, newreno: bool, seed: u64) -> f64
         down_loss: LossSpec::Bernoulli(0.005),
         ..Default::default()
     };
-    let out = run_connection(seed, &path, None, &cfg);
+    let out = try_run_connection_with(&mut ConnectionScratch::new(), seed, &path, None, &cfg)
+        .expect("engine invariants hold");
     analyze_flow(&out.trace, &Default::default())
         .summary
         .throughput_sps
@@ -164,14 +168,20 @@ fn every_controller_is_deterministic_across_workers_and_cache_tiers() {
 #[test]
 fn zoo_members_differ_end_to_end() {
     let reference = zoo_configs(Algorithm::Reno);
-    let reno = hsm::scenario::runner::run_scenario(&reference[0])
+    let reno = try_run_scenario_with(&mut Scratch::new(), &reference[0], &StormPlan::default())
+        .expect("valid config runs")
         .summary()
         .throughput_sps;
     let mut distinct = 0;
     for cc in [Algorithm::cubic(), Algorithm::Bbr, Algorithm::compound()] {
-        let tp = hsm::scenario::runner::run_scenario(&zoo_configs(cc)[0])
-            .summary()
-            .throughput_sps;
+        let tp = try_run_scenario_with(
+            &mut Scratch::new(),
+            &zoo_configs(cc)[0],
+            &StormPlan::default(),
+        )
+        .expect("valid config runs")
+        .summary()
+        .throughput_sps;
         if (tp - reno).abs() > 1e-9 {
             distinct += 1;
         }

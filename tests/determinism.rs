@@ -2,19 +2,22 @@
 //! bit, across the whole stack, including parallel dataset generation;
 //! trace serialization round-trips.
 
-// The deprecated generate_dataset* helpers stay covered until removal.
-#![allow(deprecated)]
-
+use hsm::runtime::engine::{run_dataset, Campaign};
 use hsm::scenario::prelude::*;
 use hsm::simnet::time::SimDuration;
 use hsm::trace::prelude::*;
 
 fn one_flow(seed: u64) -> FlowTrace {
-    run_scenario(&ScenarioConfig {
-        seed,
-        duration: SimDuration::from_secs(25),
-        ..Default::default()
-    })
+    try_run_scenario_with(
+        &mut Scratch::new(),
+        &ScenarioConfig {
+            seed,
+            duration: SimDuration::from_secs(25),
+            ..Default::default()
+        },
+        &StormPlan::default(),
+    )
+    .expect("valid config runs")
     .outcome
     .trace
 }
@@ -41,8 +44,8 @@ fn dataset_generation_is_deterministic_despite_parallelism() {
         flow_duration: SimDuration::from_secs(10),
         ..Default::default()
     };
-    let a = generate_dataset(&cfg);
-    let b = generate_dataset(&cfg);
+    let (a, _) = run_dataset(&cfg).expect("dataset runs");
+    let (b, _) = run_dataset(&cfg).expect("dataset runs");
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.campaign, y.campaign);
@@ -64,10 +67,20 @@ fn flow_summaries_bit_identical_across_worker_counts() {
         ..Default::default()
     };
     let summarize = |workers: usize| -> Vec<String> {
-        generate_dataset_with_workers(&cfg, workers)
+        let campaign = Campaign::builder()
+            .dataset(&cfg)
+            .workers(workers)
+            .keep_outcomes(true)
+            .build()
+            .expect("valid campaign");
+        campaign
+            .run()
+            .expect("dataset runs")
+            .runs
             .iter()
-            .map(|f| {
-                let analysis = analyze_flow(&f.outcome.outcome.trace, &TimeoutConfig::default());
+            .map(|run| {
+                let trace = &run.outcome.as_ref().expect("outcome kept").outcome.trace;
+                let analysis = analyze_flow(trace, &TimeoutConfig::default());
                 serde_json::to_string(&analysis.summary).expect("summary serializes")
             })
             .collect()

@@ -6,13 +6,18 @@ use hsm::scenario::prelude::*;
 use hsm::simnet::time::SimDuration;
 
 fn run(motion: Motion, seed: u64) -> ScenarioOutcome {
-    run_scenario(&ScenarioConfig {
-        provider: Provider::ChinaMobile,
-        motion,
-        seed,
-        duration: SimDuration::from_secs(40),
-        ..Default::default()
-    })
+    try_run_scenario_with(
+        &mut Scratch::new(),
+        &ScenarioConfig {
+            provider: Provider::ChinaMobile,
+            motion,
+            seed,
+            duration: SimDuration::from_secs(40),
+            ..Default::default()
+        },
+        &StormPlan::default(),
+    )
+    .expect("valid config runs")
 }
 
 #[test]
@@ -85,12 +90,17 @@ fn internal_ground_truth_matches_trace_inference() {
 #[test]
 fn every_provider_runs_the_full_pipeline() {
     for (i, provider) in Provider::ALL.iter().enumerate() {
-        let out = run_scenario(&ScenarioConfig {
-            provider: *provider,
-            seed: 40 + i as u64,
-            duration: SimDuration::from_secs(20),
-            ..Default::default()
-        });
+        let out = try_run_scenario_with(
+            &mut Scratch::new(),
+            &ScenarioConfig {
+                provider: *provider,
+                seed: 40 + i as u64,
+                duration: SimDuration::from_secs(20),
+                ..Default::default()
+            },
+            &StormPlan::default(),
+        )
+        .expect("valid config runs");
         assert_eq!(out.summary().provider, provider.name());
         assert!(
             out.summary().throughput_sps > 0.0,

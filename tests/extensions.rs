@@ -1,15 +1,18 @@
 //! Integration tests for the extension features: Veno, adaptive delayed
-//! ACKs, spurious-RTO undo, shared-radio MPTCP, trace persistence,
-//! timeline analysis and global model fitting.
-
-// The deprecated generate_dataset* helpers stay covered until removal.
-#![allow(deprecated)]
+//! ACKs, F-RTO under ACK blackouts, shared-radio MPTCP, trace
+//! persistence, timeline analysis and global model fitting.
 
 use hsm::model::prelude::*;
+use hsm::runtime::engine::run_dataset;
 use hsm::scenario::prelude::*;
 use hsm::simnet::time::SimDuration;
 use hsm::tcp::prelude::*;
 use hsm::trace::prelude::*;
+
+fn run(config: &ScenarioConfig) -> ScenarioOutcome {
+    try_run_scenario_with(&mut Scratch::new(), config, &StormPlan::default())
+        .expect("valid config runs")
+}
 
 fn hsr_scenario(seed: u64) -> ScenarioConfig {
     ScenarioConfig {
@@ -25,7 +28,14 @@ fn run_with(
 ) -> (ConnectionOutcome, FlowSummary) {
     let mut conn = sc.connection();
     mutate(&mut conn);
-    let out = run_connection(sc.seed, &sc.path(), sc.mobility().as_ref(), &conn);
+    let out = try_run_connection_with(
+        &mut ConnectionScratch::new(),
+        sc.seed,
+        &sc.path(),
+        sc.mobility().as_ref(),
+        &conn,
+    )
+    .expect("engine invariants hold");
     let summary = analyze_flow(&out.trace, &TimeoutConfig::default()).summary;
     (out, summary)
 }
@@ -65,10 +75,12 @@ fn adaptive_delack_stays_safe_on_the_train() {
 }
 
 #[test]
-fn spurious_rto_undo_is_a_net_positive_under_ack_outages() {
-    // A channel whose only impairment is periodic pure-ACK blackouts —
-    // every timeout is spurious and data keeps flowing, so the Eifel
-    // timing heuristic can catch them.
+fn frto_costs_nothing_under_ack_outages_it_cannot_undo() {
+    // A channel whose only impairment is periodic pure-ACK blackouts:
+    // every timeout is spurious and data keeps flowing. Each blackout
+    // outlasts the retransmission's own RTO, so RFC 5682's repeat-RTO rule
+    // reads it as a genuine loss and F-RTO undoes nothing (DESIGN §16).
+    // What it must not do is cost anything against plain recovery.
     let path = PathSpec {
         up_loss: LossSpec::PeriodicOutage {
             period_s: 6.0,
@@ -79,37 +91,45 @@ fn spurious_rto_undo_is_a_net_positive_under_ack_outages() {
         jitter_sd: SimDuration::ZERO,
         ..Default::default()
     };
-    let mut with = 0.0;
-    let mut without = 0.0;
-    let mut total_undone = 0;
-    for seed in 0..3 {
+    let mut scratch = ConnectionScratch::new();
+    let mut run = |seed: u64, recovery: Recovery| {
         let cfg = ConnectionConfig {
             sender: SenderConfig {
                 stop_after: Some(SimDuration::from_secs(40)),
+                recovery,
                 ..Default::default()
             },
             deadline: hsm::simnet::time::SimTime::from_secs(60),
             ..Default::default()
         };
-        let base = run_connection(930 + seed, &path, None, &cfg);
-        let mut undo_cfg = cfg.clone();
-        undo_cfg.sender.spurious_rto_undo = true;
-        let undo = run_connection(930 + seed, &path, None, &undo_cfg);
-        with += analyze_flow(&undo.trace, &TimeoutConfig::default())
+        let out = try_run_connection_with(&mut scratch, seed, &path, None, &cfg)
+            .expect("engine invariants hold");
+        let tp = analyze_flow(&out.trace, &TimeoutConfig::default())
             .summary
             .throughput_sps;
-        without += analyze_flow(&base.trace, &TimeoutConfig::default())
-            .summary
-            .throughput_sps;
-        total_undone += undo.sender.spurious_rto_undone;
+        (tp, out.sender.spurious_rto_undone, out.finished_at)
+    };
+    let mut frto_tp = 0.0;
+    let mut none_tp = 0.0;
+    let mut total_undone = 0;
+    for seed in 930..933 {
+        let (tp, undone, finish) = run(seed, Recovery::Frto);
+        let (base_tp, _, base_finish) = run(seed, Recovery::None);
+        assert!(
+            finish <= base_finish,
+            "seed {seed}: F-RTO must not finish later ({finish} vs {base_finish})"
+        );
+        frto_tp += tp;
+        none_tp += base_tp;
+        total_undone += undone;
     }
-    assert!(
-        total_undone > 0,
-        "periodic ACK blackouts must trigger undos"
+    assert_eq!(
+        total_undone, 0,
+        "blackouts longer than one RTO read as genuine"
     );
     assert!(
-        with > without * 0.95,
-        "undo should not cost throughput: {with} vs {without}"
+        frto_tp >= none_tp,
+        "F-RTO must not cost throughput: {frto_tp} vs {none_tp}"
     );
 }
 
@@ -127,13 +147,14 @@ fn shared_radio_mptcp_fills_dead_time_without_doubling_capacity() {
             duration: SimDuration::from_secs(40),
             ..Default::default()
         };
-        single_sum += run_scenario(&sc).summary().throughput_sps;
+        single_sum += run(&sc).summary().throughput_sps;
         let shared = run_mptcp_shared_radio(
             sc.seed,
             &sc.path(),
             sc.mobility().as_ref(),
             &sc.connection(),
-        );
+        )
+        .expect("engine invariants hold");
         shared_sum += shared.aggregate_throughput_sps();
     }
     assert!(
@@ -149,7 +170,7 @@ fn dataset_persistence_round_trips_through_disk() {
         flow_duration: SimDuration::from_secs(10),
         ..Default::default()
     };
-    let flows = generate_dataset(&cfg);
+    let (flows, _) = run_dataset(&cfg).expect("dataset runs");
     let path = std::env::temp_dir().join("hsm_ext_roundtrip.jsonl");
     let traces: Vec<&FlowTrace> = flows.iter().map(|f| &f.outcome.outcome.trace).collect();
     save_traces(&path, traces.iter().copied()).expect("save");
@@ -167,7 +188,7 @@ fn dataset_persistence_round_trips_through_disk() {
 
 #[test]
 fn timeline_dead_time_tracks_timeouts() {
-    let out = run_scenario(&hsr_scenario(95));
+    let out = run(&hsr_scenario(95));
     let trace = &out.outcome.trace;
     let dead = stall_time_fraction(trace, SimDuration::from_secs(1));
     let stalls = detect_stalls(trace, SimDuration::from_secs(1));
@@ -192,7 +213,9 @@ fn global_fit_runs_on_simulated_data() {
         flow_duration: SimDuration::from_secs(40),
         ..Default::default()
     };
-    let summaries: Vec<FlowSummary> = generate_dataset(&cfg)
+    let summaries: Vec<FlowSummary> = run_dataset(&cfg)
+        .expect("dataset runs")
+        .0
         .into_iter()
         .map(|f| f.outcome.analysis.summary)
         .collect();

@@ -24,7 +24,8 @@ fn duplex_aggregates_two_subflows() {
         [&path, &path],
         sc.mobility().as_ref(),
         &sc.connection(),
-    );
+    )
+    .expect("engine invariants hold");
     assert_eq!(out.subflows.len(), 2);
     assert_eq!(out.senders.len(), 2);
     assert_eq!(out.receivers.len(), 2);
@@ -42,7 +43,8 @@ fn duplex_beats_single_flow_on_the_worst_provider() {
     let mut duplex_sum = 0.0;
     for seed in 0..3 {
         let sc = scenario(Provider::ChinaTelecom, 100 + seed);
-        let single = run_scenario(&sc);
+        let single = try_run_scenario_with(&mut Scratch::new(), &sc, &StormPlan::default())
+            .expect("valid config runs");
         single_sum += single.summary().throughput_sps;
         let path = sc.path();
         let duplex = run_mptcp_duplex(
@@ -50,7 +52,8 @@ fn duplex_beats_single_flow_on_the_worst_provider() {
             [&path, &path],
             sc.mobility().as_ref(),
             &sc.connection(),
-        );
+        )
+        .expect("engine invariants hold");
         duplex_sum += duplex.aggregate_throughput_sps();
     }
     assert!(
@@ -63,14 +66,22 @@ fn duplex_beats_single_flow_on_the_worst_provider() {
 fn backup_path_never_hurts_delivery() {
     let sc = scenario(Provider::ChinaUnicom, 9);
     let conn = sc.connection();
-    let plain = run_connection(sc.seed, &sc.path(), sc.mobility().as_ref(), &conn);
+    let plain = try_run_connection_with(
+        &mut ConnectionScratch::new(),
+        sc.seed,
+        &sc.path(),
+        sc.mobility().as_ref(),
+        &conn,
+    )
+    .expect("engine invariants hold");
     let with_backup = run_with_backup_path(
         sc.seed,
         &sc.path(),
         &PathSpec::default(),
         sc.mobility().as_ref(),
         &conn,
-    );
+    )
+    .expect("engine invariants hold");
     assert!(
         with_backup.receiver.next_expected + 50 >= plain.receiver.next_expected,
         "backup {} vs plain {}",
@@ -95,14 +106,22 @@ fn backup_path_reduces_recovery_loss_rate_on_average() {
     for seed in 0..4 {
         let sc = scenario(Provider::ChinaTelecom, 200 + seed);
         let conn = sc.connection();
-        let plain = run_connection(sc.seed, &sc.path(), sc.mobility().as_ref(), &conn);
+        let plain = try_run_connection_with(
+            &mut ConnectionScratch::new(),
+            sc.seed,
+            &sc.path(),
+            sc.mobility().as_ref(),
+            &conn,
+        )
+        .expect("engine invariants hold");
         let backup = run_with_backup_path(
             sc.seed,
             &sc.path(),
             &PathSpec::default(),
             sc.mobility().as_ref(),
             &conn,
-        );
+        )
+        .expect("engine invariants hold");
         let pa = analyze_flow(&plain.trace, &TimeoutConfig::default());
         let ba = analyze_flow(&backup.trace, &TimeoutConfig::default());
         if pa.summary.timeout_sequences > 0 {

@@ -283,7 +283,7 @@ mod scenario_config_properties {
 
 /// Disk-codec properties: flow summaries — arbitrary field values and
 /// real chaos-fuzzer outputs alike — survive the binary round trip
-/// bit-for-bit and agree with the legacy JSON encoding, while any
+/// bit-for-bit and agree with the JSON encoding, while any
 /// corruption of the encoded bytes is rejected rather than decoded.
 mod codec_properties {
     use super::*;
@@ -412,9 +412,8 @@ mod codec_properties {
 
     proptest! {
         /// Binary round trip is lossless to the bit, and the decoded
-        /// summary's JSON encoding — what a legacy tier would have stored
-        /// — matches the original's byte-for-byte, so the two on-disk
-        /// formats describe exactly the same value space.
+        /// summary's JSON encoding matches the original's byte-for-byte,
+        /// so the two encodings describe exactly the same value space.
         #[test]
         fn binary_and_json_encodings_round_trip_identically(
             summary in arb_summary(),
@@ -456,16 +455,18 @@ mod codec_properties {
     #[test]
     fn chaos_fuzzer_summaries_round_trip_through_the_codec() {
         use hsm::chaos::{config_for_case, FuzzRanges};
-        use hsm::scenario::runner::try_run_scenario;
+        use hsm::scenario::prelude::{try_run_scenario_with, Scratch, StormPlan};
 
         let ranges = FuzzRanges {
             duration_s: (2, 3),
             region_duration_s: (2, 3),
             ..FuzzRanges::default()
         };
+        let mut scratch = Scratch::new();
         for case in 0..32 {
             let config = config_for_case(&ranges, 0xC0DEC, case);
-            let out = try_run_scenario(&config).expect("fuzzed config runs");
+            let out = try_run_scenario_with(&mut scratch, &config, &StormPlan::default())
+                .expect("fuzzed config runs");
             let summary = out.summary();
             let key = hsm::runtime::cache::CacheKey::of(&config);
             let bytes = encode_entry(key.0, summary);

@@ -11,11 +11,13 @@
 // relative drift is detectable; the extra digits are the point.
 #![allow(clippy::excessive_precision)]
 
-use hsm::scenario::runner::{try_run_storm_scenario, Motion, ScenarioConfig};
+use hsm::scenario::runner::{try_run_scenario_with, Motion, ScenarioConfig, Scratch};
 use hsm::simnet::chaos::{StormEpisode, StormKind, StormPlan};
 use hsm::simnet::time::{SimDuration, SimTime};
 use hsm::tcp::cc::Algorithm;
-use hsm::tcp::connection::{run_connection, ConnectionConfig, LossSpec, PathSpec};
+use hsm::tcp::connection::{
+    try_run_connection_with, ConnectionConfig, ConnectionScratch, LossSpec, PathSpec,
+};
 use hsm::tcp::recovery::Recovery;
 use hsm::tcp::reno::SenderConfig;
 use hsm_runtime::cache::{CacheConfig, FlowCache};
@@ -45,7 +47,8 @@ fn random_loss_throughput(
         down_loss: LossSpec::Bernoulli(0.005),
         ..Default::default()
     };
-    let out = run_connection(seed, &path, None, &cfg);
+    let out = try_run_connection_with(&mut ConnectionScratch::new(), seed, &path, None, &cfg)
+        .expect("engine invariants hold");
     analyze_flow(&out.trace, &Default::default())
         .summary
         .throughput_sps
@@ -114,7 +117,8 @@ fn storm_config(recovery: Recovery) -> ScenarioConfig {
 fn every_countermeasure_leaves_its_signature_under_the_storm() {
     let plan = flap_storm(SimDuration::from_secs(12));
     let run = |recovery| {
-        try_run_storm_scenario(&storm_config(recovery), &plan).expect("storm scenario runs")
+        try_run_scenario_with(&mut Scratch::new(), &storm_config(recovery), &plan)
+            .expect("storm scenario runs")
     };
 
     let none = run(Recovery::None);

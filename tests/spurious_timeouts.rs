@@ -40,7 +40,7 @@ fn run_with_uplink_blackout(window_ms: (u64, u64)) -> (FlowTrace, SenderMetrics,
     )));
     let rec = VecRecorder::new();
     eng.add_recorder(rec.clone());
-    eng.run_until(SimTime::from_secs(120));
+    eng.try_run_until(SimTime::from_secs(120)).unwrap();
     let trace = single_flow_trace(&rec.events(), 0, FlowMeta::default()).expect("trace");
     let sender = eng.agent_mut::<RenoSender>(tx).unwrap().metrics.clone();
     let receiver = eng.agent_mut::<Receiver>(rx).unwrap().metrics;
