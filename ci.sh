@@ -24,9 +24,10 @@ stage_build_test() {
     # (the bare root build only covers the facade crate).
     cargo build --release --workspace
     cargo test -q --workspace
-    # Wheel-vs-heap differential: the timing wheel must pop the exact
-    # `(time, seq)` stream the retired binary-heap oracle pops, over
-    # randomized schedule/cancel/pop interleavings. Runs inside the
+    # Queue-vs-heap differential: the lane-plus-heap event queue must pop
+    # the exact `(time, seq)` stream the retired binary-heap oracle pops,
+    # over randomized schedule/cancel/pop interleavings of timers and
+    # per-link packet events. Runs inside the
     # workspace suite too, but an explicit invocation keeps the contract
     # visible in the CI log (and keeps running it even if the workspace
     # test set is ever filtered).

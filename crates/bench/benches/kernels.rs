@@ -25,19 +25,24 @@ use hsm_trace::analysis::timeout::TimeoutConfig;
 use hsm_trace::summary::analyze_flow;
 
 fn bench_engine(c: &mut Criterion) {
+    const PACKETS: u64 = 10_000;
+    /// One link whose queue holds every injected packet, so all of them
+    /// are transmitted and delivered: a `LinkReady` and a `Deliver` each.
+    fn run_10k() -> u64 {
+        let mut eng = Engine::new(1);
+        let sink = eng.add_agent(Box::new(NullAgent::new()));
+        let link = eng.add_link(LinkSpec::new(sink, "wire").queue_capacity(PACKETS as usize));
+        for seq in 0..PACKETS {
+            eng.inject(link, Packet::data(FlowId(0), SeqNo(seq), false));
+        }
+        eng.try_run_until(SimTime::MAX)
+            .expect("engine invariants hold");
+        eng.events_processed()
+    }
+    assert_eq!(run_10k(), 2 * PACKETS, "drop-tail must not shed the load");
     let mut c = tune(c);
     c.bench_function("engine/10k_packet_events", |b| {
-        b.iter(|| {
-            let mut eng = Engine::new(1);
-            let sink = eng.add_agent(Box::new(NullAgent::new()));
-            let link = eng.add_link(LinkSpec::new(sink, "wire"));
-            for seq in 0..10_000u64 {
-                eng.inject(link, Packet::data(FlowId(0), SeqNo(seq), false));
-            }
-            eng.try_run_until(SimTime::MAX)
-                .expect("engine invariants hold");
-            black_box(eng.events_processed())
-        });
+        b.iter(|| black_box(run_10k()));
     });
 }
 
@@ -92,13 +97,111 @@ fn bench_event_queue(c: &mut Criterion) {
     });
 }
 
-/// Head-to-head churn: the production timing wheel vs the retired
+/// The queue traffic of one high-speed flow, in the mix measured on the
+/// `hsr_cold` campaign: two links (data down, ACKs up), each a monotone
+/// `LinkReady` stream ~300 µs apart and a monotone `Deliver` stream
+/// ~27 ms ± 2 ms behind it; a delayed-ACK timer scheduled and cancelled on
+/// every data segment; an RTO re-armed on every ACK. 26 packets
+/// circulate, which holds the pending depth at ~27.
+fn bench_hsr_flow_mix(c: &mut Criterion) {
+    use hsm_simnet::event::{Event, EventId, EventKind, EventQueue};
+
+    /// Pops per criterion iteration; the flow carries over between them.
+    const OPS: u64 = 4096;
+    const WINDOW: u64 = 26;
+
+    struct FlowMix {
+        q: EventQueue,
+        now: u64,
+        tx_free: [u64; 2],
+        last_deliver: [u64; 2],
+        rng: u64,
+        rto: EventId,
+    }
+
+    fn event(at_us: u64, kind: EventKind) -> Event {
+        Event {
+            at: SimTime::from_micros(at_us),
+            dst: AgentId::from_raw(0),
+            kind,
+        }
+    }
+
+    impl FlowMix {
+        /// Sends one packet on `link`: it finishes transmitting 300 µs
+        /// after the link frees up.
+        fn transmit(&mut self, link: usize) {
+            let done = self.tx_free[link].max(self.now) + 300;
+            self.tx_free[link] = done;
+            let link = LinkId::from_raw(link as u32);
+            self.q.schedule(event(done, EventKind::LinkReady(link)));
+        }
+
+        fn step(&mut self) {
+            let (_, e) = self.q.pop().expect("packets keep circulating");
+            self.now = e.at.as_micros();
+            match e.kind {
+                EventKind::LinkReady(link) => {
+                    self.rng ^= self.rng << 13;
+                    self.rng ^= self.rng >> 7;
+                    self.rng ^= self.rng << 17;
+                    let l = link.as_usize();
+                    let at = (self.now + 25_000 + self.rng % 4_000).max(self.last_deliver[l]);
+                    self.last_deliver[l] = at;
+                    let packet = PacketId(0);
+                    self.q
+                        .schedule(event(at, EventKind::Deliver { packet, link }));
+                }
+                EventKind::Deliver { link, .. } if link.as_usize() == 0 => {
+                    let delack = event(self.now + 100_000, EventKind::Timer { tag: 1 });
+                    let delack = self.q.schedule(delack);
+                    self.q.cancel(delack);
+                    self.transmit(1);
+                }
+                EventKind::Deliver { .. } | EventKind::Timer { .. } => {
+                    self.q.cancel(self.rto);
+                    let rto = event(self.now + 200_000, EventKind::Timer { tag: 0 });
+                    self.rto = self.q.schedule(rto);
+                    if matches!(e.kind, EventKind::Deliver { .. }) {
+                        self.transmit(0);
+                    }
+                }
+            }
+        }
+    }
+
+    let mut g = tune(c);
+    g.bench_function("queue/hsr_flow_mix", |b| {
+        let mut q = EventQueue::new();
+        let rto = q.schedule(event(200_000, EventKind::Timer { tag: 0 }));
+        let mut flow = FlowMix {
+            q,
+            now: 0,
+            tx_free: [0; 2],
+            last_deliver: [0; 2],
+            rng: 0x9E37_79B9_7F4A_7C15,
+            rto,
+        };
+        for _ in 0..WINDOW {
+            flow.transmit(0);
+        }
+        b.iter(|| {
+            for _ in 0..OPS {
+                flow.step();
+            }
+            black_box(flow.q.len())
+        });
+    });
+}
+
+/// Head-to-head timer churn: the production queue vs the retired
 /// binary-heap oracle (`heap-reference` feature), driven through the same
 /// deterministic schedule/cancel/pop mix at steady pending depths of
 /// 1k/10k/100k. Each op is the engine's dominant timer pattern: schedule
 /// an RTO ~40ms out, cancel it immediately, then pop the next event and
-/// schedule its successor a mixed horizon away (sub-slot, near, RTO-scale,
-/// far) so every wheel level — not just level 0 — sees traffic.
+/// schedule its successor a mixed horizon away (sub-64 µs, near,
+/// RTO-scale, far). All of it is timer traffic, so the production queue
+/// runs on its heap alone; `queue/hsr_flow_mix` covers the lanes.
 fn bench_queue_churn(c: &mut Criterion) {
     use hsm_simnet::event::{Event, EventKind, EventQueue};
     use hsm_simnet::event_heap::HeapEventQueue;
@@ -161,7 +264,12 @@ fn bench_queue_churn(c: &mut Criterion) {
 
     let mut g = tune(c);
     for depth in [1_000u64, 10_000, 100_000] {
-        churn_bench!(g, &format!("queue_churn_wheel/{depth}"), EventQueue, depth);
+        churn_bench!(
+            g,
+            &format!("queue_churn_lane_heap/{depth}"),
+            EventQueue,
+            depth
+        );
         churn_bench!(
             g,
             &format!("queue_churn_heap/{depth}"),
@@ -273,6 +381,7 @@ criterion_group!(
     benches,
     bench_engine,
     bench_event_queue,
+    bench_hsr_flow_mix,
     bench_queue_churn,
     bench_link_offer,
     bench_tcp_flow,

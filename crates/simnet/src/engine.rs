@@ -24,13 +24,15 @@
 //!   [`ObserverSet`]: with no observer the
 //!   engine skips event materialization altogether, and the single-
 //!   recorder case is a direct (non-virtual) call;
-//! * the [`EventQueue`] is a hierarchical timing wheel over a payload
-//!   slab — `O(1)` schedule and cancel, no hash map anywhere on the
+//! * the [`EventQueue`] keeps one FIFO lane per link for `Deliver` and
+//!   one for `LinkReady` (both streams are monotone in time, so a
+//!   schedule is an append) and a lazily-cancelled binary heap for
+//!   timers, over a payload slab — no hash map anywhere on the
 //!   schedule/pop path (see the `event` module docs);
 //! * dispatch is batched per instant: all events sharing one `SimTime`
-//!   are drained from the wheel in a single walk into a reusable scratch
-//!   buffer, so the queue's slot/bitmap bookkeeping and the clock update
-//!   are paid once per instant instead of once per event. An agent
+//!   are drained from the queue in one call into a reusable scratch
+//!   buffer, so the clock update and dispatch setup are paid once per
+//!   instant instead of once per event. An agent
 //!   cancelling a same-instant sibling mid-batch tombstones the drained
 //!   entry, preserving exact single-pop cancellation semantics.
 //!
@@ -479,10 +481,10 @@ impl Engine {
             }
         }
         'batches: while !self.core.stop_requested {
-            // Same-instant batch dispatch: one wheel walk drains every
+            // Same-instant batch dispatch: one queue call drains every
             // event sharing the next firing time (discarding stale
-            // cancelled entries on the way), so queue bookkeeping and the
-            // clock update are paid once per instant, not once per event.
+            // cancelled entries on the way), so the clock update is paid
+            // once per instant, not once per event.
             // This is also the engine's only queue read — the old
             // peek_time-then-pop double traversal is gone; use
             // `EventQueue::next_fire_time` if a read-only probe is ever

@@ -1,35 +1,26 @@
 //! Future event list.
 //!
-//! A classic discrete-event simulation core, reworked twice for
-//! throughput: PR 3 replaced the naive queue with a slab-indexed binary
-//! min-heap; this revision replaces the heap with a **hierarchical timing
-//! wheel** (Varghese/Lauck style) so the dominant operations drop from
-//! `O(log n)` to `O(1)`:
+//! Shaped for the traffic a simulated flow actually produces: a shallow
+//! queue (tens of pending events) where most schedules are per-link
+//! `Deliver` and `LinkReady` events, each stream monotone in time, and
+//! most timers are cancelled before they fire.
 //!
-//! * [`EventQueue::schedule`] hashes the firing time into one of eleven
-//!   64-slot wheels (power-of-two slot granularity derived from the raw
-//!   [`SimTime`] microsecond count: level *k* slots are `2^(6k)` µs wide;
-//!   the level is the first radix-64 digit in which the firing time
-//!   differs from the wheel cursor) and appends a 24-byte entry to that
-//!   slot — no sift, no comparison.
-//! * [`EventQueue::cancel`] is generation-check based, exactly as before,
-//!   plus an in-place reclaim fast path: when the cancelled entry is the
-//!   most recent push into its wheel slot (the dominant
-//!   schedule-then-cancel RTO-timer pattern), the entry is physically
-//!   removed right away, so churning timers leave no garbage behind.
-//!   Otherwise the stale entry stays and is discarded lazily — a
-//!   cancellation never cascades or re-sorts anything.
-//! * [`EventQueue::pop`] walks per-level occupancy bitmaps (one `u64` per
-//!   64-slot wheel) to the earliest occupied slot; level-0 slots are one
-//!   microsecond wide, so a slot holds exactly one firing instant and
-//!   pops in FIFO order by construction. Far-future levels cascade
-//!   toward level 0 as simulated time approaches, an amortized `O(1)`
-//!   per event per level it descends.
+//! * **Lanes.** Each `(link, Deliver)` and `(link, LinkReady)` pair owns
+//!   a FIFO lane of compact `(time, sequence, slot, generation)` entries.
+//!   [`EventQueue::schedule`] appends to the lane when the firing time is
+//!   at or after the lane's tail, an `O(1)` push with no comparison
+//!   against anything else.
+//! * **Heap.** Timers, and any lane event that would arrive out of
+//!   order, go into one binary min-heap. Cancellation is lazy; when stale
+//!   entries outnumber live ones by more than a constant, the queue
+//!   compacts, so timer churn cannot grow memory.
+//! * **Pop.** [`EventQueue::pop`] takes the least `(time, sequence)` key
+//!   among the non-empty lane fronts (found through a 64-bit occupancy
+//!   mask) and the heap top.
 //!
-//! Event payloads still live in a slab of reusable slots addressed by a
-//! `(slot, generation)` pair packed into the [`EventId`]; wheel entries
-//! are compact 24-byte `(time, sequence, slot, generation)` records, so
-//! scheduling and popping never touch a hash map.
+//! Event payloads live in a slab of reusable slots addressed by a
+//! `(slot, generation)` pair packed into the [`EventId`], so scheduling
+//! and popping never touch a hash map.
 //!
 //! # Ordering contract
 //!
@@ -43,39 +34,21 @@
 //!
 //! ## Proof sketch (see DESIGN.md §15 for the long form)
 //!
-//! The wheel maintains two invariants. First, **placement is by first
-//! differing radix-64 digit**: an entry's level is the most significant
-//! digit in which its firing time differs from the wheel cursor, so every
-//! entry shares all higher digits with the cursor, slot indices map to
-//! exactly one absolute window, and within a level ascending index *is*
-//! ascending time (no rotation ambiguity). This holds because the cursor
-//! never passes a live wheel entry's firing time: it advances only to
-//! the firing time of a popped event or to a cascade-window start, and
-//! both are bounded by the earliest wheel entry. The one schedule the
-//! wheel cannot hash — an event below the cursor, legal because
-//! schedules are only bounded below by the last *fired* time while a
-//! missed pop deadline may have committed the cursor further — bypasses
-//! the wheel into a tiny ordered backlog lane that always fires before
-//! anything in the wheel (its entries are strictly below the cursor,
-//! wheel entries never are). Second, **every slot
-//! list is sorted by insertion sequence.** Direct schedules append the
-//! globally largest sequence, so appends preserve it. A cascade drains
-//! one higher-level slot (itself seq-sorted) and deposits each live entry
-//! into a strictly lower level; deposits that would land behind a larger
-//! sequence are placed by binary search instead
-//! ([`VecDeque::partition_point`]), so target lists stay seq-sorted.
-//! Because a level-0 slot is one microsecond wide, all its entries share
-//! one firing time, and popping the slot front-to-back is exactly
-//! `(time, seq)` order. Across slots, the occupancy-bitmap scan visits
-//! slots in ascending firing-time order, and a higher-level slot is
-//! always cascaded *before* any level-0 event at or beyond its window
-//! start is popped (ties prefer the cascade), so no same-instant event
-//! can be stranded in a coarser wheel while its siblings fire. The
-//! retired binary-heap implementation is kept, feature-gated, as
-//! `event_heap::HeapEventQueue`, and a standing differential
-//! proptest (`tests/queue_differential.rs`) pops randomized
-//! schedule/cancel interleavings through both queues and asserts
-//! identical `(time, seq)` streams — the contract is proven, not assumed.
+//! Every lane is sorted by `(time, sequence)`: an entry is appended only
+//! when its time is at or after the tail's, and its sequence is the
+//! largest yet issued, so the key strictly rises along the lane. Removals
+//! (pops, scrubs, compaction) only drop entries and keep that order. The
+//! heap orders its own entries by the same key. Each source's front is
+//! therefore its minimum, and the least front over all sources is the
+//! global minimum. Stale entries never decide: the queue keeps every
+//! lane front and the heap top live (a cancel that hits a front, and
+//! every pop, scrubs stale entries off that source). The retired
+//! binary-heap queue is kept, feature-gated, as
+//! `event_heap::HeapEventQueue`, and a standing differential proptest
+//! (`tests/queue_differential.rs`) pops randomized schedule/cancel
+//! interleavings, over lanes and heap alike, through both queues and
+//! asserts identical `(time, seq)` streams — the contract is proven, not
+//! assumed.
 
 use crate::agent::AgentId;
 use crate::time::SimTime;
@@ -149,8 +122,8 @@ pub struct Event {
 /// maintained with two adds and a compare per schedule.
 ///
 /// Campaign runners aggregate these across flows into `BENCH_simnet.json`
-/// so wheel-granularity choices are justified by measured timer churn and
-/// regressions in it stay visible.
+/// so the queue's design is justified by measured timer churn and depth,
+/// and regressions in them stay visible.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct QueueStats {
     /// Events scheduled.
@@ -175,8 +148,8 @@ impl QueueStats {
     }
 
     /// Fraction of scheduled events that were cancelled before firing —
-    /// the retransmission-timer churn ratio the wheel's lazy cancellation
-    /// is designed around.
+    /// the retransmission-timer churn ratio the heap's lazy cancellation
+    /// and compaction are designed around.
     pub fn cancel_ratio(&self) -> f64 {
         if self.schedules == 0 {
             0.0
@@ -195,129 +168,61 @@ impl QueueStats {
     }
 }
 
-/// log2 of the slots per wheel level.
-const LEVEL_BITS: u32 = 6;
-/// Slots per wheel level.
-const SLOTS: usize = 1 << LEVEL_BITS;
-/// Wheel levels. Eleven six-bit levels cover 66 bits — the entire
-/// `SimTime` microsecond range, so there is no separate overflow list:
-/// the top level *is* the far-future overflow, cascading (and, for
-/// deposits that interleave with direct schedules, re-ordering by
-/// `(at, seq)`) toward level 0 as time approaches.
-const LEVELS: usize = 11;
-/// Slot-index mask within a level.
-const SLOT_MASK: u64 = (SLOTS as u64) - 1;
+/// A queued entry: `(firing µs, insertion seq, slab slot, generation)`.
+/// Tuple order is the pop order, so lanes and the heap compare entries
+/// directly (the seq is unique, so slot and generation never decide).
+type Entry = (u64, u64, u32, u32);
 
-/// Compact wheel entry: the ordering key plus the slab address.
-#[derive(Debug, Clone, Copy)]
-struct WheelEntry {
-    at: SimTime,
-    seq: u64,
-    slot: u32,
-    gen: u32,
+/// Lane count: one `Deliver` and one `LinkReady` lane for each of the
+/// first 32 links, so lane occupancy fits one `u64`. Events on higher
+/// links take the heap, which orders them just as well.
+const LANES: usize = 64;
+
+/// Lane of an event: `Deliver` and `LinkReady` get one lane per link;
+/// timers (and links past the lane range) get none.
+#[inline]
+fn lane_of(kind: &EventKind) -> Option<usize> {
+    let lane = match *kind {
+        EventKind::Deliver { link, .. } => 2 * link.as_usize(),
+        EventKind::LinkReady(link) => 2 * link.as_usize() + 1,
+        EventKind::Timer { .. } => return None,
+    };
+    (lane < LANES).then_some(lane)
 }
 
-/// One wheel level: 64 slot lists plus an occupancy bitmap (bit *i* set
-/// iff `slots[i]` is non-empty), so finding the next occupied slot is a
-/// rotate plus a trailing-zeros count.
-#[derive(Debug)]
-struct Level {
-    occ: u64,
-    slots: Box<[VecDeque<WheelEntry>]>,
-}
-
-impl Level {
-    fn new() -> Level {
-        Level {
-            occ: 0,
-            slots: (0..SLOTS).map(|_| VecDeque::new()).collect(),
-        }
-    }
-
-    /// Clears every occupied slot, keeping each deque's capacity.
-    fn clear(&mut self) {
-        let mut occ = self.occ;
-        while occ != 0 {
-            let idx = occ.trailing_zeros() as usize;
-            self.slots[idx].clear();
-            occ &= occ - 1;
-        }
-        self.occ = 0;
-    }
-}
-
-/// One slab slot: the event payload, the generation that validates wheel
-/// entries pointing at it, and the wheel coordinates the entry was
-/// *scheduled* into, so `cancel` can try the in-place reclaim. Cascades
-/// deliberately do not refresh the coordinates — the reclaim compares the
-/// slot's newest entry by `(slot, gen)` before touching it, so stale
-/// coordinates just skip the fast path (and the schedule-then-cancel RTO
-/// pattern the fast path exists for cancels long before any cascade).
+/// One slab slot: the event payload plus the generation that validates
+/// the queued entries pointing at it.
 #[derive(Debug)]
 struct Slot {
     gen: u32,
-    lvl: u8,
-    idx: u8,
     event: Option<Event>,
 }
 
-/// `Slot::lvl` sentinel for events parked in the backlog lane rather
-/// than the wheel (no in-place reclaim; the lane scrubs lazily).
-const BACKLOG_LVL: u8 = u8::MAX;
-
-/// Wheel level for an event at absolute time `at`, relative to the wheel
-/// cursor `cur`: the position of the most significant radix-64 digit in
-/// which the two times differ (level 0 when they are equal).
-///
-/// Placing by first-differing-digit (rather than by raw distance) keeps a
-/// crucial invariant: every entry shares all digits *above* its level
-/// with the cursor, so each occupied slot denotes exactly one absolute
-/// time window — there is no "this rotation or the next?" ambiguity, and
-/// the per-level slot scan is a plain `trailing_zeros`. The invariant is
-/// stable under cursor advancement because the cursor never passes a live
-/// event's firing time, and any value between two numbers sharing a
-/// binary prefix shares that prefix too.
+/// True if `e` still points at the event it was queued for (not fired,
+/// not cancelled).
 #[inline]
-fn level_for(at: u64, cur: u64) -> usize {
-    let x = at ^ cur;
-    if x == 0 {
-        0
-    } else {
-        ((63 - x.leading_zeros()) / LEVEL_BITS) as usize
-    }
+fn is_live(slab: &[Slot], e: &Entry) -> bool {
+    let s = &slab[e.2 as usize];
+    s.gen == e.3 && s.event.is_some()
 }
 
 /// The future event list.
 #[derive(Debug)]
 pub struct EventQueue {
-    levels: Vec<Level>,
-    /// Summary occupancy bitmap: bit *k* set iff level *k* has any
-    /// occupied slot, so the per-pop candidate scan touches only
-    /// non-empty levels (usually one or two) instead of all eleven.
-    lvl_occ: u16,
-    /// Wheel cursor in microseconds. Never exceeds the firing time of
-    /// any wheel entry (live entries, that is; stale ones may lag
-    /// behind), and never runs backwards. It advances when an event
-    /// fires and when a deadline-bounded pop commits a cascade-window
-    /// start — so it may legally end up *above* a later schedule's
-    /// firing time; such events go to `backlog`, never into the wheel.
-    cur: u64,
-    /// Below-cursor side lane, ordered by `(time, seq)`. Strictly every
-    /// entry here fires before anything in the wheel (backlog times are
-    /// below the cursor, live wheel times never are), so pops take the
-    /// backlog front first and never need to merge within an instant
-    /// across lanes. Almost always empty: it only gains entries when a
-    /// missed pop deadline committed the cursor past a later schedule.
-    backlog: BinaryHeap<Reverse<(u64, u64, u32, u32)>>,
+    /// Per-link FIFO lanes, indexed by [`lane_of`]; each sorted by
+    /// `(at, seq)` because `schedule` only appends at or after the tail.
+    lanes: Box<[VecDeque<Entry>]>,
+    /// Bit *i* set iff `lanes[i]` is non-empty.
+    occ: u64,
+    /// Timers and lane fallbacks. Cancelled entries stay until they
+    /// surface at the top or a compaction drops them.
+    heap: BinaryHeap<Reverse<Entry>>,
+    /// Entries physically queued in lanes and heap, live or stale.
+    queued: usize,
     slab: Vec<Slot>,
     free: Vec<u32>,
     live: usize,
     next_seq: u64,
-    /// Memoized exact next firing time (`None` = unknown, recompute).
-    /// Kept exact: schedules fold in with `min`, a cancel or pop at the
-    /// hinted instant invalidates. Lets deadline-bounded pops and peeks
-    /// skip the slot scan on the hot path.
-    next_hint: Option<SimTime>,
     stats: QueueStats,
     /// Firing time of the most recently popped event. Simulated time must
     /// never run backwards: every pop checks the invariant in debug/test
@@ -331,15 +236,14 @@ pub struct EventQueue {
 impl Default for EventQueue {
     fn default() -> Self {
         EventQueue {
-            levels: (0..LEVELS).map(|_| Level::new()).collect(),
-            lvl_occ: 0,
-            backlog: BinaryHeap::new(),
-            cur: 0,
+            lanes: (0..LANES).map(|_| VecDeque::new()).collect(),
+            occ: 0,
+            heap: BinaryHeap::new(),
+            queued: 0,
             slab: Vec::new(),
             free: Vec::new(),
             live: 0,
             next_seq: 0,
-            next_hint: None,
             stats: QueueStats::default(),
             #[cfg(any(debug_assertions, test))]
             last_popped: SimTime::ZERO,
@@ -380,9 +284,6 @@ impl EventQueue {
             event.at,
             self.last_popped,
         );
-        if let Some(m) = self.next_hint {
-            self.next_hint = Some(m.min(event.at));
-        }
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slab[slot as usize].event = Some(event);
@@ -392,8 +293,6 @@ impl EventQueue {
                 let slot = self.slab.len() as u32;
                 self.slab.push(Slot {
                     gen: 0,
-                    lvl: 0,
-                    idx: 0,
                     event: Some(event),
                 });
                 slot
@@ -403,53 +302,43 @@ impl EventQueue {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.live += 1;
+        self.queued += 1;
         self.stats.schedules += 1;
         self.stats.depth_sum += self.live as u64;
         if self.live > self.stats.max_depth {
             self.stats.max_depth = self.live;
         }
-        let entry = WheelEntry {
-            at: event.at,
-            seq,
-            slot,
-            gen,
-        };
-        let at_us = event.at.as_micros();
-        if at_us < self.cur {
-            // A missed pop deadline may have committed the cursor past
-            // this (perfectly legal) firing time — the wheel cannot hash
-            // below its cursor, so park the entry in the ordered side
-            // lane instead.
-            self.slab[slot as usize].lvl = BACKLOG_LVL;
-            self.backlog.push(Reverse((at_us, seq, slot, gen)));
-        } else {
-            let (lvl, idx) = self.place(entry);
-            let lane = &mut self.slab[slot as usize];
-            lane.lvl = lvl as u8;
-            lane.idx = idx as u8;
+        let entry = (event.at.as_micros(), seq, slot, gen);
+        match lane_of(&event.kind) {
+            // Append only in order, so the lane stays sorted whatever the
+            // caller does; an out-of-order event falls back to the heap.
+            Some(i) if self.lanes[i].back().is_none_or(|b| b.0 <= entry.0) => {
+                self.lanes[i].push_back(entry);
+                self.occ |= 1 << i;
+            }
+            _ => self.heap.push(Reverse(entry)),
         }
         EventId::new(slot, gen)
     }
 
-    /// Clears the queue for reuse, keeping every allocation (wheel slot
-    /// deques, slab and free list capacity) so a recycled engine schedules
+    /// Clears the queue for reuse, keeping every allocation (lane deques,
+    /// heap, slab and free list capacity) so a recycled engine schedules
     /// its first events without touching the allocator.
     ///
     /// After `reset` the queue is indistinguishable from a freshly
     /// constructed one: the insertion sequence restarts at zero, all slots
     /// are forgotten, and previously issued [`EventId`]s are dead.
     pub fn reset(&mut self) {
-        for level in &mut self.levels {
-            level.clear();
+        for lane in self.lanes.iter_mut() {
+            lane.clear();
         }
-        self.lvl_occ = 0;
-        self.backlog.clear();
-        self.cur = 0;
+        self.occ = 0;
+        self.heap.clear();
+        self.queued = 0;
         self.slab.clear();
         self.free.clear();
         self.live = 0;
         self.next_seq = 0;
-        self.next_hint = None;
         self.stats = QueueStats::default();
         #[cfg(any(debug_assertions, test))]
         {
@@ -460,46 +349,38 @@ impl EventQueue {
     /// Cancels a previously scheduled event.
     ///
     /// Returns `true` if the event was still pending, `false` if it already
-    /// fired or was already cancelled. When the entry is the most recent
-    /// push into its wheel slot — the dominant schedule-then-cancel RTO
-    /// pattern — it is reclaimed in place; otherwise the stale entry is
-    /// left behind and skipped lazily. A cancellation never cascades.
+    /// fired or was already cancelled. An entry at the front of its lane
+    /// or the top of the heap is removed at once; any other is left behind
+    /// and dropped when it surfaces or when stale entries outnumber live
+    /// ones and the queue compacts.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        let Some(lane) = self.slab.get_mut(id.slot()) else {
+        let Some(s) = self.slab.get_mut(id.slot()) else {
             return false;
         };
-        if lane.gen != id.gen() || lane.event.is_none() {
+        if s.gen != id.gen() {
             return false;
         }
-        let at = lane.event.expect("checked above").at;
-        lane.event = None;
-        lane.gen = lane.gen.wrapping_add(1);
-        let (lvl, idx) = (lane.lvl as usize, lane.idx as usize);
+        let Some(event) = s.event.take() else {
+            return false;
+        };
+        s.gen = s.gen.wrapping_add(1);
         self.free.push(id.slot() as u32);
         self.live -= 1;
         self.stats.cancels += 1;
-        // The hint stays exact unless the cancelled event sat at the
-        // hinted instant (another event there may or may not remain).
-        if self.next_hint == Some(at) {
-            self.next_hint = None;
-        }
-        // In-place reclaim fast path: drop the wheel entry now if it is
-        // still the newest push into the slot it was scheduled into
-        // (backlog entries and cascade-moved entries scrub lazily).
-        if lvl < LEVELS {
-            let level = &mut self.levels[lvl];
-            let q = &mut level.slots[idx];
-            if let Some(back) = q.back() {
-                if back.slot as usize == id.slot() && back.gen == id.gen() {
-                    q.pop_back();
-                    if q.is_empty() {
-                        level.occ &= !(1 << idx);
-                        if level.occ == 0 {
-                            self.lvl_occ &= !(1 << lvl);
-                        }
-                    }
-                }
+        // Fronts were live before this cancel, so only this entry can have
+        // gone stale there.
+        let key = (id.slot() as u32, id.gen());
+        let is_key = |e: &Entry| (e.2, e.3) == key;
+        if let Some(i) = lane_of(&event.kind) {
+            if self.lanes[i].front().is_some_and(is_key) {
+                self.scrub_lane(i);
             }
+        }
+        if self.heap.peek().is_some_and(|Reverse(e)| is_key(e)) {
+            self.scrub_heap();
+        }
+        if self.queued > 2 * self.live + 32 {
+            self.compact();
         }
         true
     }
@@ -514,61 +395,16 @@ impl EventQueue {
 
     /// Firing time of the next live event, if any.
     ///
-    /// Takes `&mut self` to memoize the answer: the scan result is cached
-    /// and reused by repeated peeks until a schedule, cancel or pop makes
-    /// it stale. Peeking never cascades or advances the wheel cursor —
-    /// all wheel maintenance is deferred to the popping paths. For a
-    /// read-only bound from shared contexts, use
-    /// [`next_fire_time`](EventQueue::next_fire_time).
+    /// Lane fronts and the heap top are always live, so this is a plain
+    /// read; it keeps `&mut self` for API stability.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        if self.live == 0 {
-            return None;
-        }
-        if self.next_hint.is_none() {
-            self.next_hint = self.next_fire_time();
-        }
-        self.next_hint
+        self.next_fire_time()
     }
 
-    /// Non-mutating sibling of [`peek_time`](EventQueue::peek_time):
-    /// scans live entries without touching queue state, so it works
-    /// through `&self` at the cost of walking the first live-occupied
-    /// slot of each level (still no allocation, no mutation).
+    /// Non-mutating sibling of [`peek_time`](EventQueue::peek_time), for
+    /// read-only bounds from shared contexts.
     pub fn next_fire_time(&self) -> Option<SimTime> {
-        let mut best: Option<SimTime> = None;
-        // Backlog entries all fire before anything in the wheel, so any
-        // live one short-circuits the level scan below via the `min`.
-        for &Reverse((at, _, slot, gen)) in &self.backlog {
-            let lane = &self.slab[slot as usize];
-            if lane.gen == gen && lane.event.is_some() {
-                let t = SimTime::from_micros(at);
-                best = Some(best.map_or(t, |b: SimTime| b.min(t)));
-            }
-        }
-        for level in &self.levels {
-            // Walk this level's occupied slots in ascending index order —
-            // every entry shares all higher digits with the cursor, so
-            // index order *is* time order. The first slot holding any
-            // live entry bounds the level's minimum (slot windows are
-            // disjoint and ascending).
-            let mut rest = level.occ;
-            'level: while rest != 0 {
-                let idx = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                let mut slot_min: Option<SimTime> = None;
-                for e in &level.slots[idx] {
-                    let lane = &self.slab[e.slot as usize];
-                    if lane.gen == e.gen && lane.event.is_some() {
-                        slot_min = Some(slot_min.map_or(e.at, |m: SimTime| m.min(e.at)));
-                    }
-                }
-                if let Some(t) = slot_min {
-                    best = Some(best.map_or(t, |b: SimTime| b.min(t)));
-                    break 'level;
-                }
-            }
-        }
-        best
+        self.next_source().map(|(_, at)| SimTime::from_micros(at))
     }
 
     /// Pops the next live event.
@@ -583,51 +419,20 @@ impl EventQueue {
     }
 
     /// Pops the next live event if it fires at or before `deadline`;
-    /// returns `None` (leaving the event queued) otherwise. This is the
-    /// single-pass fast path: one bitmap walk discards stale entries,
-    /// cascades what must cascade, checks the deadline and extracts the
-    /// payload, instead of a `peek_time` pass followed by a `pop` pass.
+    /// returns `None` (leaving the event queued) otherwise.
     ///
     /// # Panics
     ///
     /// Same monotonicity check as [`EventQueue::pop`] (debug/test builds).
     pub fn pop_before(&mut self, deadline: SimTime) -> Option<(EventId, Event)> {
-        if self.live == 0 {
-            return None;
-        }
-        let bound = deadline.as_micros();
-        // Backlog first: its entries are strictly below the cursor and
-        // live wheel entries never are, so a live backlog front is the
-        // global minimum unconditionally.
-        if let Some((at, _)) = self.backlog_front() {
-            if at > bound {
-                return None;
-            }
-            let Reverse((at, seq, slot, gen)) = self.backlog.pop().expect("front peeked above");
-            return Some(self.fire(WheelEntry {
-                at: SimTime::from_micros(at),
-                seq,
-                slot,
-                gen,
-            }));
-        }
-        let idx = self.advance(bound)?;
-        let q = &mut self.levels[0].slots[idx];
-        let entry = q.pop_front().expect("advance leaves a live front");
-        debug_assert!(entry.at <= deadline, "advance is deadline-bounded");
-        if q.is_empty() {
-            self.levels[0].occ &= !(1 << idx);
-            if self.levels[0].occ == 0 {
-                self.lvl_occ &= !1;
-            }
-        }
-        Some(self.fire(entry))
+        let (src, at) = self.next_source()?;
+        (at <= deadline.as_micros()).then(|| self.take(src))
     }
 
     /// Drains **all** live events sharing the next firing instant (if it
     /// is at or before `deadline`) into `out`, in FIFO order, and returns
     /// how many were appended. The engine's batch-dispatch loop uses this
-    /// to pay the bitmap walk once per instant instead of once per event.
+    /// to pay the clock update and dispatch setup once per instant.
     ///
     /// `out` is appended to, not cleared — callers reuse one scratch
     /// buffer across batches.
@@ -640,297 +445,115 @@ impl EventQueue {
         deadline: SimTime,
         out: &mut Vec<(EventId, Event)>,
     ) -> usize {
-        if self.live == 0 {
-            return 0;
-        }
-        let bound = deadline.as_micros();
-        // Backlog first (see `pop_before`): a live backlog front is the
-        // global minimum, and no wheel entry can share its instant (the
-        // wheel holds nothing below the cursor), so the whole batch
-        // drains from the lane in `(at, seq)` heap order.
-        if let Some((t, _)) = self.backlog_front() {
-            if t > bound {
-                return 0;
-            }
-            let mut n = 0;
-            while let Some((at, _)) = self.backlog_front() {
-                if at != t {
-                    break;
-                }
-                let Reverse((at, seq, slot, gen)) = self.backlog.pop().expect("front peeked");
-                out.push(self.fire(WheelEntry {
-                    at: SimTime::from_micros(at),
-                    seq,
-                    slot,
-                    gen,
-                }));
-                n += 1;
-            }
-            return n;
-        }
-        let Some(idx) = self.advance(bound) else {
+        let Some((mut src, t)) = self.next_source() else {
             return 0;
         };
-        let t = self.levels[0].slots[idx].front().expect("live front").at;
-        debug_assert!(t <= deadline, "advance is deadline-bounded");
+        if t > deadline.as_micros() {
+            return 0;
+        }
         let mut n = 0;
         loop {
-            let q = &mut self.levels[0].slots[idx];
-            let Some(&front) = q.front() else {
-                self.levels[0].occ &= !(1 << idx);
-                if self.levels[0].occ == 0 {
-                    self.lvl_occ &= !1;
-                }
-                break;
-            };
-            let lane = &self.slab[front.slot as usize];
-            if lane.gen != front.gen || lane.event.is_none() {
-                // Stale (cancelled) entry interleaved with the batch.
-                q.pop_front();
-                continue;
-            }
-            if front.at != t {
-                break;
-            }
-            q.pop_front();
-            if q.is_empty() {
-                self.levels[0].occ &= !(1 << idx);
-                if self.levels[0].occ == 0 {
-                    self.lvl_occ &= !1;
-                }
-            }
-            out.push(self.fire(front));
+            out.push(self.take(src));
             n += 1;
-        }
-        n
-    }
-
-    /// Earliest live backlog entry as `(µs, seq)`, discarding stale
-    /// (cancelled) entries from the top of the lane on the way. One
-    /// branch when the lane is empty — the overwhelmingly common case.
-    #[inline]
-    fn backlog_front(&mut self) -> Option<(u64, u64)> {
-        while let Some(&Reverse((at, seq, slot, gen))) = self.backlog.peek() {
-            let lane = &self.slab[slot as usize];
-            if lane.gen == gen && lane.event.is_some() {
-                return Some((at, seq));
+            match self.next_source() {
+                Some((next, at)) if at == t => src = next,
+                _ => return n,
             }
-            self.backlog.pop();
         }
-        None
     }
 
-    /// Extracts a popped entry's payload from the slab, retiring the slot
-    /// and advancing the wheel cursor to the firing time.
+    /// Where the next live event sits — a lane index, or [`LANES`] for
+    /// the heap — and its firing µs. Lane fronts and the heap top are
+    /// always live, so this only compares keys: the global `(at, seq)`
+    /// minimum is the least of the per-source minima.
     #[inline]
-    fn fire(&mut self, entry: WheelEntry) -> (EventId, Event) {
-        self.cur = self.cur.max(entry.at.as_micros());
-        self.next_hint = None;
-        let lane = &mut self.slab[entry.slot as usize];
-        let event = lane.event.take().expect("advance verified live");
-        lane.gen = lane.gen.wrapping_add(1);
-        self.free.push(entry.slot);
+    fn next_source(&self) -> Option<(usize, u64)> {
+        let mut best = self.heap.peek().map(|Reverse(e)| (LANES, e.0, e.1));
+        let mut occ = self.occ;
+        while occ != 0 {
+            let i = occ.trailing_zeros() as usize;
+            occ &= occ - 1;
+            let e = self.lanes[i].front().expect("occupied lane");
+            if best.is_none_or(|(_, at, seq)| (e.0, e.1) < (at, seq)) {
+                best = Some((i, e.0, e.1));
+            }
+        }
+        best.map(|(src, at, _)| (src, at))
+    }
+
+    /// Removes the live front of `src` (a lane index or [`LANES`]) and
+    /// fires it.
+    #[inline]
+    fn take(&mut self, src: usize) -> (EventId, Event) {
+        self.queued -= 1;
+        let entry = if src == LANES {
+            let Reverse(e) = self.heap.pop().expect("live heap top");
+            self.scrub_heap();
+            e
+        } else {
+            let e = self.lanes[src].pop_front().expect("live lane front");
+            self.scrub_lane(src);
+            e
+        };
+        self.fire(entry)
+    }
+
+    /// Drops stale entries off the front of lane `i`, restoring the
+    /// live-front invariant, and clears its occupancy bit once empty.
+    fn scrub_lane(&mut self, i: usize) {
+        while let Some(e) = self.lanes[i].front() {
+            if is_live(&self.slab, e) {
+                return;
+            }
+            self.lanes[i].pop_front();
+            self.queued -= 1;
+        }
+        self.occ &= !(1 << i);
+    }
+
+    /// Drops stale entries off the top of the heap.
+    fn scrub_heap(&mut self) {
+        while let Some(Reverse(e)) = self.heap.peek() {
+            if is_live(&self.slab, e) {
+                return;
+            }
+            self.heap.pop();
+            self.queued -= 1;
+        }
+    }
+
+    /// Drops every stale entry from lanes and heap. Runs only when stale
+    /// entries outnumber live ones by more than a constant, so its linear
+    /// cost is paid for by the cancels that made the garbage.
+    fn compact(&mut self) {
+        let slab = &self.slab;
+        self.heap.retain(|Reverse(e)| is_live(slab, e));
+        for lane in self.lanes.iter_mut() {
+            lane.retain(|e| is_live(slab, e));
+        }
+        self.queued = self.live;
+    }
+
+    /// Extracts a popped entry's payload from the slab and retires the slot.
+    #[inline]
+    fn fire(&mut self, (_, _, slot, gen): Entry) -> (EventId, Event) {
+        let s = &mut self.slab[slot as usize];
+        let event = s.event.take().expect("popped entries are live");
+        s.gen = s.gen.wrapping_add(1);
+        self.free.push(slot);
         self.live -= 1;
         #[cfg(any(debug_assertions, test))]
         {
             assert!(
-                entry.at >= self.last_popped,
+                event.at >= self.last_popped,
                 "event-queue time monotonicity violated: popping event at {:?} \
                  after already firing one at {:?}",
-                entry.at,
+                event.at,
                 self.last_popped,
             );
-            self.last_popped = entry.at;
+            self.last_popped = event.at;
         }
-        (EventId::new(entry.slot, entry.gen), event)
-    }
-
-    /// Performs deferred wheel maintenance until the earliest pending
-    /// live wheel event sits at the front of a level-0 slot **and fires
-    /// at or before `bound`** (µs), returning that slot's index. Returns
-    /// `None` — a deadline miss — as soon as every candidate slot lies
-    /// beyond the bound, leaving everything queued. Stale entries
-    /// encountered on the way are discarded; coarse levels whose window
-    /// has arrived are cascaded. Never removes a live event.
-    ///
-    /// Cascading commits the cursor to the cascaded window's start, which
-    /// is `≤ bound` and `≤` every wheel entry's firing time — safe even
-    /// on a miss, because any later schedule below the committed cursor
-    /// goes to the backlog lane rather than the wheel.
-    fn advance(&mut self, bound: u64) -> Option<usize> {
-        loop {
-            // Every entry shares all digits above its level with the
-            // cursor (see `level_for`), so within a level, slot index
-            // order is absolute time order and the lowest occupied index
-            // is the earliest slot — one `trailing_zeros`, no rotation.
-            // The summary bitmap keeps this scan to non-empty levels.
-            //
-            // Level-0 candidate: slots are 1 µs wide, the slot *is* the
-            // instant. Coarse candidate: earliest occupied window start.
-            let mut l0: Option<(u64, usize)> = None;
-            let mut hi: Option<(usize, usize, u64)> = None;
-            // Runner-up coarse window start — a lower bound on every
-            // live entry outside the best candidate's level-and-slot,
-            // used below to jump the cursor past intermediate levels.
-            let mut hi2: u64 = u64::MAX;
-            let mut lvls = self.lvl_occ;
-            while lvls != 0 {
-                let lvl = lvls.trailing_zeros() as usize;
-                lvls &= lvls - 1;
-                let occ = self.levels[lvl].occ;
-                debug_assert!(occ != 0, "summary bit set on empty level");
-                let idx = occ.trailing_zeros() as usize;
-                if lvl == 0 {
-                    l0 = Some(((self.cur & !SLOT_MASK) + idx as u64, idx));
-                } else {
-                    let shift = LEVEL_BITS * lvl as u32;
-                    // The level's rotation mask; the top level's rotation
-                    // (2^66) exceeds u64, where the base is simply 0.
-                    let rot = shift + LEVEL_BITS;
-                    let base = if rot >= u64::BITS {
-                        0
-                    } else {
-                        self.cur & !((1u64 << rot) - 1)
-                    };
-                    let start = base + ((idx as u64) << shift);
-                    match hi {
-                        None => hi = Some((lvl, idx, start)),
-                        Some((_, _, s)) if start < s => {
-                            hi2 = s;
-                            hi = Some((lvl, idx, start));
-                        }
-                        Some(_) => hi2 = hi2.min(start),
-                    }
-                }
-            }
-            match (l0, hi) {
-                (None, None) => return None,
-                // Strictly earlier level-0 instant: scrub stale fronts
-                // and hand the slot to the caller. Ties go to the
-                // cascade arm below, so same-instant events still parked
-                // in a coarser wheel join the slot (in sequence order)
-                // before anything at that instant fires.
-                (Some((t0, idx)), hi) if hi.is_none_or(|(_, _, s)| t0 < s) => {
-                    if t0 > bound {
-                        // Everything live is at or beyond t0 — miss.
-                        return None;
-                    }
-                    loop {
-                        let q = &mut self.levels[0].slots[idx];
-                        let Some(front) = q.front() else {
-                            self.levels[0].occ &= !(1 << idx);
-                            if self.levels[0].occ == 0 {
-                                self.lvl_occ &= !1;
-                            }
-                            break;
-                        };
-                        let lane = &self.slab[front.slot as usize];
-                        if lane.gen == front.gen && lane.event.is_some() {
-                            return Some(idx);
-                        }
-                        q.pop_front();
-                    }
-                }
-                (_, Some((lvl, idx, start))) => {
-                    if start > bound {
-                        // The earliest candidate window opens past the
-                        // deadline — miss, commit nothing further.
-                        return None;
-                    }
-                    // Jump the cursor as far as provably safe — to the
-                    // earliest live firing time anywhere in the wheel —
-                    // before redistributing, so the slot's minimum drops
-                    // straight to level 0 instead of descending one
-                    // level per pop. Outside this slot, every live entry
-                    // is bounded below by the runner-up candidate, the
-                    // level-0 instant, or this level's next occupied
-                    // window; inside, by the slot's own live minimum.
-                    let mut outside = hi2;
-                    if let Some((t0, _)) = l0 {
-                        outside = outside.min(t0);
-                    }
-                    let shift = LEVEL_BITS * lvl as u32;
-                    let rest = self.levels[lvl].occ & !(1 << idx);
-                    if rest != 0 {
-                        let rot = shift + LEVEL_BITS;
-                        let base = if rot >= u64::BITS {
-                            0
-                        } else {
-                            self.cur & !((1u64 << rot) - 1)
-                        };
-                        outside = outside.min(base + ((rest.trailing_zeros() as u64) << shift));
-                    }
-                    // `u64::MAX` is the "effectively disabled" timer
-                    // sentinel, so an empty minimum and an entry at MAX
-                    // coincide here — both are safe: some live entry
-                    // always bounds the jump (the caller checked live).
-                    let mut inside = u64::MAX;
-                    for e in &self.levels[lvl].slots[idx] {
-                        let lane = &self.slab[e.slot as usize];
-                        if lane.gen == e.gen && lane.event.is_some() {
-                            inside = inside.min(e.at.as_micros());
-                        }
-                    }
-                    self.cur = self.cur.max(start).max(inside.min(outside));
-                    self.cascade(lvl, idx);
-                }
-                (Some(_), None) => unreachable!("guard above accepts hi == None"),
-            }
-        }
-    }
-
-    /// Drains one coarse-level slot and redistributes its live entries
-    /// into finer levels (stale entries are dropped here, which is where
-    /// lazily-cancelled far-future timers finally get collected).
-    fn cascade(&mut self, lvl: usize, idx: usize) {
-        debug_assert!(lvl > 0);
-        let level = &mut self.levels[lvl];
-        level.occ &= !(1 << idx);
-        if level.occ == 0 {
-            self.lvl_occ &= !(1 << lvl);
-        }
-        // Draining front-to-back keeps seq order among the re-placed
-        // entries; every live entry lands at a strictly lower level (the
-        // cursor now shares this window's digits at and above `lvl`), so
-        // the drain never feeds itself.
-        while let Some(e) = self.levels[lvl].slots[idx].pop_front() {
-            let stale = {
-                let lane = &self.slab[e.slot as usize];
-                lane.gen != e.gen || lane.event.is_none()
-            };
-            if !stale {
-                // The slab's reclaim coordinates are deliberately left
-                // behind: refreshing them would touch a scattered cache
-                // line per entry per level descended, and `cancel`
-                // validates the coordinates before reclaiming anyway.
-                self.place(e);
-            }
-        }
-    }
-
-    /// Places a wheel entry into the level/slot its firing time hashes
-    /// to, keeping the slot list seq-sorted, and returns the coordinates
-    /// (for `cancel`'s in-place reclaim — recorded by `schedule` only).
-    #[inline]
-    fn place(&mut self, e: WheelEntry) -> (usize, usize) {
-        let at = e.at.as_micros();
-        let lvl = level_for(at, self.cur);
-        let idx = ((at >> (LEVEL_BITS * lvl as u32)) & SLOT_MASK) as usize;
-        let level = &mut self.levels[lvl];
-        let q = &mut level.slots[idx];
-        // Direct schedules always carry the largest sequence and append;
-        // only cascaded entries can interleave with newer direct ones,
-        // and those are placed by binary search to keep the list
-        // seq-sorted (the ordering proof leans on this invariant).
-        if q.back().is_some_and(|b| b.seq > e.seq) {
-            let pos = q.partition_point(|x| x.seq < e.seq);
-            q.insert(pos, e);
-        } else {
-            q.push_back(e);
-        }
-        level.occ |= 1 << idx;
-        self.lvl_occ |= 1 << lvl;
-        (lvl, idx)
+        (EventId::new(slot, gen), event)
     }
 }
 
@@ -1017,7 +640,7 @@ mod tests {
     #[test]
     fn slot_reuse_does_not_resurrect_cancelled_events() {
         // Cancel an event, then schedule new ones until the freed slot is
-        // reused: the stale wheel entry must not fire the new occupant, and
+        // reused: the stale queued entry must not fire the new occupant, and
         // the old id must stay dead.
         let mut q = EventQueue::new();
         let dead = q.schedule(ev(10, 1));
@@ -1130,35 +753,37 @@ mod tests {
     }
 
     #[test]
-    fn same_instant_fifo_across_wheel_levels() {
-        // The regression the cascade tie-break exists for: an event parked
-        // in a coarse level (scheduled when its instant was ≥ 64 µs away)
-        // must still fire before a same-instant event scheduled later
-        // straight into level 0.
+    fn same_instant_fifo_across_schedule_horizons() {
+        // An event scheduled far ahead of its instant must still fire
+        // before a same-instant event scheduled later, close to it.
         let mut q = EventQueue::new();
         q.schedule(ev(0, 0));
-        q.schedule(ev(64, 1)); // 64 µs ahead → level 1
-        q.pop().unwrap(); // advances the cursor to t=0… then schedule again
+        q.schedule(ev(64, 1)); // 64 µs ahead
+        q.pop().unwrap(); // fires t=0… then schedule again
         q.schedule(ev(1, 2));
-        q.pop().unwrap(); // cursor at t=1; t=64 is now 63 µs away
-        q.schedule(ev(64, 3)); // → level 0 directly
+        q.pop().unwrap(); // now at t=1; t=64 is 63 µs away
+        q.schedule(ev(64, 3)); // same instant, scheduled close
         q.schedule(ev(64, 4));
         let order: Vec<u64> = std::iter::from_fn(|| q.pop())
             .map(|(_, e)| tag_of(&e))
             .collect();
-        assert_eq!(order, vec![1, 3, 4], "cascaded event must keep seq order");
+        assert_eq!(
+            order,
+            vec![1, 3, 4],
+            "early-scheduled event must keep seq order"
+        );
     }
 
     #[test]
-    fn far_future_events_cascade_in_order() {
-        // Events seconds-to-hours apart descend through multiple levels;
-        // order and payloads must survive every cascade.
+    fn far_future_events_pop_in_order() {
+        // Events microseconds-to-hours apart: order and payloads must
+        // survive the whole range.
         let mut q = EventQueue::new();
         let times: &[u64] = &[
-            3_600_000_000, // 1 h → level 5
-            1_000_000,     // 1 s → level 3
-            64,            // level 1
-            5,             // level 0
+            3_600_000_000, // 1 h
+            1_000_000,     // 1 s
+            64,
+            5,
             1_000_001,
             1_000_000, // same instant as the earlier 1 s event
         ];
@@ -1184,7 +809,7 @@ mod tests {
     #[test]
     fn sentinel_max_time_events_survive() {
         // SimTime::MAX is the "effectively disabled" timer sentinel; it
-        // must park in the top level, cancel cleanly, and even pop.
+        // must queue, cancel cleanly, and even pop.
         let mut q = EventQueue::new();
         let far = q.schedule(ev(u64::MAX, 1));
         q.schedule(ev(10, 2));
@@ -1226,19 +851,46 @@ mod tests {
     }
 
     #[test]
-    fn cancel_reclaims_newest_entry_in_place() {
-        // The RTO pattern: schedule then immediately cancel, thousands of
-        // times. The in-place reclaim must keep the wheel slot empty
-        // instead of accumulating stale entries.
+    fn cancel_churn_garbage_stays_bounded() {
+        // The RTO pattern: schedule then cancel, thousands of times,
+        // behind live fronts so no cancel hits a lane front or the heap
+        // top. Compaction must bound the stale entries, `SimTime::MAX`
+        // sentinels included, and the queue must end empty.
+        let deliver = |at_us: u64| Event {
+            at: SimTime::from_micros(at_us),
+            dst: AgentId::from_raw(0),
+            kind: EventKind::Deliver {
+                packet: crate::packet::PacketId(0),
+                link: crate::link::LinkId::from_raw(0),
+            },
+        };
         let mut q = EventQueue::new();
+        let timer_front = q.schedule(ev(1, 0));
+        let lane_front = q.schedule(deliver(1));
         for i in 0..10_000u64 {
-            let id = q.schedule(ev(1_000_000 + i % 3, i));
-            assert!(q.cancel(id));
+            let at = if i % 4 == 0 {
+                u64::MAX
+            } else {
+                1_000_000 + i % 3
+            };
+            let timer = q.schedule(ev(at, i));
+            let packet = q.schedule(deliver(1_000 + i));
+            assert!(q.cancel(timer));
+            assert!(q.cancel(packet));
+            assert!(
+                q.queued <= 2 * q.len() + 33,
+                "stale entries must stay bounded"
+            );
         }
+        assert!(q.cancel(timer_front) && q.cancel(lane_front));
         assert!(q.is_empty());
-        let occupied: u64 = (0..LEVELS).map(|l| q.levels[l].occ).sum();
-        assert_eq!(occupied, 0, "reclaimed slots must clear occupancy");
-        assert_eq!(q.stats().cancels, 10_000);
+        assert_eq!(q.queued, 0, "no stale entry may outlive the last live one");
+        assert!(
+            q.heap.is_empty() && q.heap.capacity() <= 64,
+            "heap stays small"
+        );
+        assert_eq!(q.occ, 0, "empty lanes must clear occupancy");
+        assert_eq!(q.stats().cancels, 20_002);
         assert_eq!(q.stats().cancel_ratio(), 1.0);
     }
 

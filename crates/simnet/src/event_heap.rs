@@ -1,14 +1,15 @@
 //! Retired slab-indexed binary min-heap event queue, kept as a reference
-//! implementation for the timing wheel in [`crate::event`].
+//! implementation for the lane-plus-heap queue in [`crate::event`].
 //!
-//! The wheel replaced this queue for throughput (`O(1)` schedule/cancel
-//! versus `O(log n)` sifts), but the heap's ordering behaviour is trivial
-//! to audit: a strict `(firing time, insertion sequence)` comparator.
+//! The production queue is faster on simulated-flow traffic (per-link
+//! FIFO lanes, lazy cancellation with compaction), but this heap's
+//! ordering behaviour is trivial to audit: a strict
+//! `(firing time, insertion sequence)` comparator.
 //! That makes it the oracle for the standing differential proptest
 //! (`tests/queue_differential.rs`), which feeds randomized
 //! schedule/cancel/pop interleavings through both queues and asserts
 //! identical pop streams and identical [`EventId`] assignments. The
-//! criterion microbenches (`queue_churn_heap` vs `queue_churn_wheel`)
+//! criterion microbenches (`queue_churn_heap` vs `queue_churn_lane_heap`)
 //! also build against it to keep the perf delta measured, not remembered.
 //!
 //! Compiled only for tests and under the `heap-reference` feature — it is
@@ -56,7 +57,7 @@ pub struct HeapEventQueue {
     free: Vec<u32>,
     live: usize,
     next_seq: u64,
-    /// Firing time of the most recently popped event; see the wheel's
+    /// Firing time of the most recently popped event; see the queue's
     /// monotonicity invariant — the oracle enforces the same one.
     #[cfg(any(debug_assertions, test))]
     last_popped: SimTime,

@@ -94,9 +94,8 @@ pub struct Receiver {
     pub backup_uplink: Option<LinkId>,
     cfg: ReceiverConfig,
     next_expected: SeqNo,
+    /// Buffered out-of-order segments, all above `next_expected`.
     ooo: BTreeSet<u64>,
-    received_ever_max: u64,
-    received_set: BTreeSet<u64>,
     pending_acks: u32,
     delack_timer: Option<EventId>,
     current_b: u32,
@@ -125,8 +124,6 @@ impl Receiver {
             cfg,
             next_expected: SeqNo::ZERO,
             ooo: BTreeSet::new(),
-            received_ever_max: 0,
-            received_set: BTreeSet::new(),
             pending_acks: 0,
             delack_timer: None,
             current_b,
@@ -184,26 +181,6 @@ impl Receiver {
             ctx.cancel_timer(t);
         }
     }
-
-    /// True if the payload `seq` was already delivered before.
-    fn seen_before(&self, seq: u64) -> bool {
-        self.received_set.contains(&seq)
-    }
-
-    fn mark_seen(&mut self, seq: u64) {
-        self.received_set.insert(seq);
-        self.received_ever_max = self.received_ever_max.max(seq);
-        // Compact: everything below next_expected is implicitly seen; keep
-        // the set small by dropping covered entries.
-        let cutoff = self.next_expected.as_u64();
-        while let Some(&lo) = self.received_set.first() {
-            if lo + 64 < cutoff {
-                self.received_set.remove(&lo);
-            } else {
-                break;
-            }
-        }
-    }
 }
 
 impl Agent for Receiver {
@@ -215,15 +192,15 @@ impl Agent for Receiver {
         let s = seq.as_u64();
         let expected = self.next_expected.as_u64();
 
-        if self.seen_before(s) || s < expected {
-            // Duplicate payload: the original had arrived, so any timeout
+        if s < expected || self.ooo.contains(&s) {
+            // Duplicate payload: the original had arrived (everything below
+            // `expected` and every buffered segment has), so any timeout
             // that caused this retransmission was spurious.
             self.metrics.duplicate_payloads += 1;
             self.on_disorder();
             self.send_ack_inner(ctx, 0, retransmit);
             return;
         }
-        self.mark_seen(s);
 
         if s == expected {
             // In-order: advance, draining any buffered continuation.
@@ -398,6 +375,31 @@ mod tests {
         let acks = acks_sent(&h.rec);
         assert_eq!(acks.len(), 2);
         assert_eq!(acks[1].0, 1, "duplicate re-ACKed at the cumulative point");
+    }
+
+    #[test]
+    fn duplicate_of_buffered_segment_is_counted_once_and_not_rebuffered() {
+        let mut h = harness(ReceiverConfig::default());
+        // seq 0 arrives, 1 is missing, 2 is buffered out of order and then
+        // arrives a second time (a spurious retransmission above the hole).
+        for (seq, retransmit) in [(0u64, false), (2, false), (2, true)] {
+            h.eng
+                .inject(h.downlink, Packet::data(FlowId(0), SeqNo(seq), retransmit));
+        }
+        h.eng.try_run_until(SimTime::from_millis(50)).unwrap();
+        let rx = h.eng.agent_mut::<Receiver>(h.rx).unwrap();
+        assert_eq!(rx.metrics.duplicate_payloads, 1);
+        assert_eq!(rx.ooo.len(), 1, "the copy must not be buffered twice");
+        // Both arrivals of seq 2 were ACKed at once (before any 100 ms
+        // delack deadline), at the hole.
+        assert_eq!(acks_sent(&h.rec), vec![(1, 0), (1, 0)]);
+        // Filling the hole drains the single buffered copy.
+        h.eng
+            .inject(h.downlink, Packet::data(FlowId(0), SeqNo(1), false));
+        h.eng.try_run_until(SimTime::MAX).unwrap();
+        let rx = h.eng.agent_mut::<Receiver>(h.rx).unwrap();
+        assert_eq!(rx.next_expected(), SeqNo(3));
+        assert_eq!(rx.metrics.duplicate_payloads, 1);
     }
 
     #[test]
