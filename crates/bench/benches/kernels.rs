@@ -16,11 +16,10 @@ fn tune(c: &mut Criterion) -> criterion::BenchmarkGroup<'_, criterion::measureme
 use hsm_core::enhanced::EnhancedModel;
 use hsm_core::padhye;
 use hsm_core::params::ModelParams;
-use hsm_scenario::runner::{
-    try_run_scenario_with, Motion, ScenarioConfig, ScenarioOutcome, Scratch,
-};
+use hsm_scenario::runner::{try_run_scenario_with, Motion, ScenarioConfig, ScenarioOutcome};
 use hsm_simnet::loss::{GilbertElliott, LossModel};
 use hsm_simnet::prelude::*;
+use hsm_tcp::connection::ConnectionScratch;
 use hsm_trace::analysis::timeout::TimeoutConfig;
 use hsm_trace::summary::analyze_flow;
 
@@ -307,8 +306,12 @@ fn bench_link_offer(c: &mut Criterion) {
 }
 
 fn flow(config: ScenarioConfig) -> ScenarioOutcome {
-    try_run_scenario_with(&mut Scratch::new(), &config, &StormPlan::default())
-        .expect("bench flow runs")
+    try_run_scenario_with(
+        &mut ConnectionScratch::new(),
+        &config,
+        &StormPlan::default(),
+    )
+    .expect("bench flow runs")
 }
 
 fn bench_tcp_flow(c: &mut Criterion) {

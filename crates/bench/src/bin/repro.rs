@@ -469,7 +469,9 @@ fn chaos_cmd(args: Vec<String>) -> ExitCode {
         }
     }));
 
+    let t0 = std::time::Instant::now();
     let report = hsm_chaos::run_chaos(&opts);
+    let wall_s = t0.elapsed().as_secs_f64();
 
     let json = match serde_json::to_string(&report) {
         Ok(j) => j,
@@ -483,14 +485,14 @@ fn chaos_cmd(args: Vec<String>) -> ExitCode {
          region {} flows (mean D enhanced {:.4} vs padhye {:.4}), {:.1}s",
         report.seed,
         report.cases,
-        report.workers,
+        opts.worker_count(),
         report.violations.len(),
         report.drills.iter().filter(|d| d.passed).count(),
         report.drills.len(),
         report.aggregate.region_flows,
         report.aggregate.mean_d_enhanced,
         report.aggregate.mean_d_padhye,
-        report.wall_s,
+        wall_s,
     );
     if report.ok() {
         println!("chaos: all oracles held");

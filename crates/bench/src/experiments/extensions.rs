@@ -14,7 +14,7 @@ use crate::context::Ctx;
 use crate::report::ExperimentResult;
 use hsm_runtime::parallel::par_map;
 use hsm_scenario::provider::Provider;
-use hsm_scenario::runner::{try_run_scenario_with, ScenarioConfig, Scratch};
+use hsm_scenario::runner::{try_run_scenario_with, ScenarioConfig};
 use hsm_simnet::chaos::StormPlan;
 use hsm_tcp::connection::{try_run_connection_with, ConnectionScratch};
 use hsm_tcp::cwnd::Algorithm;
@@ -205,17 +205,24 @@ pub fn run_mptcp_variants(ctx: &Ctx) -> ExperimentResult {
     for provider in Provider::ALL {
         let results = par_map(reps, |rep| {
             let sc = base_scenario(duration, provider, 8_500 + rep);
-            let single = try_run_scenario_with(&mut Scratch::new(), &sc, &StormPlan::default())
+            let mut scratch = ConnectionScratch::new();
+            let single = try_run_scenario_with(&mut scratch, &sc, &StormPlan::default())
                 .expect("experiment flow runs")
                 .summary()
                 .throughput_sps;
             let path = sc.path();
             let conn = sc.connection();
-            let shared =
-                run_mptcp_shared_radio(sc.seed ^ 0x1111, &path, sc.mobility().as_ref(), &conn)
-                    .expect("experiment flow runs")
-                    .aggregate_throughput_sps();
+            let shared = run_mptcp_shared_radio(
+                &mut scratch,
+                sc.seed ^ 0x1111,
+                &path,
+                sc.mobility().as_ref(),
+                &conn,
+            )
+            .expect("experiment flow runs")
+            .aggregate_throughput_sps();
             let disjoint = run_mptcp_duplex(
+                &mut scratch,
                 sc.seed ^ 0x2222,
                 [&path, &path],
                 sc.mobility().as_ref(),

@@ -4,8 +4,9 @@
 
 use crate::context::Ctx;
 use crate::report::ExperimentResult;
-use hsm_scenario::runner::{try_run_scenario_with, ScenarioConfig, Scratch};
+use hsm_scenario::runner::{try_run_scenario_with, ScenarioConfig};
 use hsm_simnet::chaos::StormPlan;
+use hsm_tcp::connection::ConnectionScratch;
 use hsm_trace::export::{fnum, Table};
 
 /// Regenerates the Fig. 2 detail: picks the longest timeout sequence of a
@@ -16,7 +17,7 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
         duration: ctx.scale.flow_duration(),
         ..Default::default()
     };
-    let out = try_run_scenario_with(&mut Scratch::new(), &cfg, &StormPlan::default())
+    let out = try_run_scenario_with(&mut ConnectionScratch::new(), &cfg, &StormPlan::default())
         .expect("experiment flow runs");
     let trace = &out.outcome.trace;
     let Some(seq) = out

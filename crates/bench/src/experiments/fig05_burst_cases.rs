@@ -56,7 +56,7 @@ fn run_case(w_m: u32, outage_ms: (u64, u64), segments: u64) -> Result<CaseOutcom
         1.0,
     )));
     let rec = VecRecorder::new();
-    eng.add_recorder(rec.clone());
+    eng.add_observer(Box::new(rec.clone()));
     eng.try_run_until(SimTime::from_secs(60))?;
     let timeouts = eng
         .agent_mut::<RenoSender>(tx)

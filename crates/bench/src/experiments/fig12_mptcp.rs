@@ -17,9 +17,10 @@ use crate::report::ExperimentResult;
 use hsm_runtime::parallel::par_map;
 use hsm_scenario::calibrate::PAPER;
 use hsm_scenario::provider::Provider;
-use hsm_scenario::runner::{try_run_scenario_with, ScenarioConfig, Scratch};
+use hsm_scenario::runner::{try_run_scenario_with, ScenarioConfig};
 use hsm_simnet::chaos::StormPlan;
 use hsm_simnet::time::SimDuration;
+use hsm_tcp::connection::ConnectionScratch;
 use hsm_tcp::mptcp::run_mptcp_shared_radio;
 use hsm_trace::export::{fnum, fpct, Table};
 
@@ -53,15 +54,21 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
         // MPTCP run of each repetition, reducing ride-to-ride variance.
         let pairs = par_map(reps, |rep| {
             let sc = scenario(*provider, 300 + rep, duration);
-            let single = try_run_scenario_with(&mut Scratch::new(), &sc, &StormPlan::default())
+            let mut scratch = ConnectionScratch::new();
+            let single = try_run_scenario_with(&mut scratch, &sc, &StormPlan::default())
                 .expect("experiment flow runs")
                 .summary()
                 .throughput_sps;
             let path = sc.path();
-            let mptcp =
-                run_mptcp_shared_radio(sc.seed, &path, sc.mobility().as_ref(), &sc.connection())
-                    .expect("experiment flow runs")
-                    .aggregate_throughput_sps();
+            let mptcp = run_mptcp_shared_radio(
+                &mut scratch,
+                sc.seed,
+                &path,
+                sc.mobility().as_ref(),
+                &sc.connection(),
+            )
+            .expect("experiment flow runs")
+            .aggregate_throughput_sps();
             (single, mptcp)
         });
         let s_mean = pairs.iter().map(|p| p.0).sum::<f64>() / reps as f64;

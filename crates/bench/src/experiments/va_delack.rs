@@ -7,8 +7,9 @@ use crate::report::ExperimentResult;
 use hsm_core::params::ModelParams;
 use hsm_core::sensitivity::delayed_ack_analysis;
 use hsm_runtime::parallel::par_map;
-use hsm_scenario::runner::{try_run_scenario_with, ScenarioConfig, Scratch};
+use hsm_scenario::runner::{try_run_scenario_with, ScenarioConfig};
 use hsm_simnet::chaos::StormPlan;
+use hsm_tcp::connection::ConnectionScratch;
 use hsm_trace::export::{fnum, fpct, Table};
 
 /// Regenerates the §V-A analysis.
@@ -45,7 +46,7 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
     for b in [1u32, 2, 4] {
         let results = par_map(reps, |rep| {
             let out = try_run_scenario_with(
-                &mut Scratch::new(),
+                &mut ConnectionScratch::new(),
                 &ScenarioConfig {
                     seed: 4_000 + rep,
                     b,

@@ -56,15 +56,11 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
         };
         let conn = sc.connection();
         let mob = sc.mobility();
-        let plain = try_run_connection_with(
-            &mut ConnectionScratch::new(),
-            sc.seed,
-            &sc.path(),
-            mob.as_ref(),
-            &conn,
-        )
-        .expect("experiment flow runs");
+        let mut scratch = ConnectionScratch::new();
+        let plain = try_run_connection_with(&mut scratch, sc.seed, &sc.path(), mob.as_ref(), &conn)
+            .expect("experiment flow runs");
         let with_backup = run_with_backup_path(
+            &mut scratch,
             sc.seed,
             &sc.path(),
             &PathSpec::default(),

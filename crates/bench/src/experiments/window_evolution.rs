@@ -8,10 +8,9 @@
 
 use crate::context::Ctx;
 use crate::report::ExperimentResult;
-use hsm_scenario::runner::{
-    try_run_scenario_with, Motion, ScenarioConfig, ScenarioOutcome, Scratch,
-};
+use hsm_scenario::runner::{try_run_scenario_with, Motion, ScenarioConfig, ScenarioOutcome};
 use hsm_simnet::chaos::StormPlan;
+use hsm_tcp::connection::ConnectionScratch;
 use hsm_tcp::cwnd::Phase;
 use hsm_tcp::metrics::CwndSample;
 use hsm_trace::export::{fnum, Table};
@@ -39,8 +38,12 @@ fn window_table(title: &str, log: &[CwndSample], max_rows: usize) -> Table {
 }
 
 fn ride(config: ScenarioConfig) -> ScenarioOutcome {
-    try_run_scenario_with(&mut Scratch::new(), &config, &StormPlan::default())
-        .expect("experiment flow runs")
+    try_run_scenario_with(
+        &mut ConnectionScratch::new(),
+        &config,
+        &StormPlan::default(),
+    )
+    .expect("experiment flow runs")
 }
 
 /// Fig. 7 — window evolution across CA phases (the sawtooth, including

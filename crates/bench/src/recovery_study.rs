@@ -24,9 +24,10 @@ use hsm_core::recovery::{predict, STRATEGY_LABELS};
 use hsm_runtime::cache::{CacheConfig, FlowCache};
 use hsm_runtime::engine::Campaign;
 use hsm_scenario::provider::Provider;
-use hsm_scenario::runner::{try_run_scenario_with, Motion, ScenarioConfig, Scratch};
+use hsm_scenario::runner::{try_run_scenario_with, Motion, ScenarioConfig};
 use hsm_simnet::chaos::{StormEpisode, StormKind, StormPlan};
 use hsm_simnet::time::{SimDuration, SimTime};
+use hsm_tcp::connection::ConnectionScratch;
 use hsm_tcp::recovery::Recovery;
 use hsm_trace::summary::FlowSummary;
 use serde::Serialize;
@@ -201,7 +202,7 @@ pub fn run_recovery_study(
     let cache = FlowCache::new(CacheConfig::memory_only());
     let estimate = EstimateConfig::default();
     let plan = storm_plan(storm_duration);
-    let mut scratch = Scratch::new();
+    let mut scratch = ConnectionScratch::new();
 
     let mut campaign_flows = 0;
     let mut providers = Vec::new();

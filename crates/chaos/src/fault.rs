@@ -19,9 +19,8 @@ use hsm_simnet::time::{SimDuration, SimTime};
 use hsm_tcp::connection::{
     try_run_connection_with, ConnectionConfig, ConnectionScratch, LossSpec, PathSpec,
 };
-use hsm_tcp::receiver::{Receiver, ReceiverConfig};
 use hsm_tcp::recovery::Recovery;
-use hsm_tcp::reno::{RenoSender, SenderConfig};
+use hsm_tcp::reno::SenderConfig;
 use hsm_trace::analysis::timeout::TimeoutConfig;
 use hsm_trace::summary::analyze_flow;
 use std::path::Path;
@@ -159,10 +158,11 @@ fn drill_cache_forgery(dir: &Path) -> Result<String, String> {
     let configs = drill_configs();
     let victim = &configs[0];
     let donor = &configs[1];
-    let donor_summary = try_run_scenario_with(&mut Scratch::new(), donor, &StormPlan::default())
-        .map_err(|e| format!("donor run failed: {e}"))?
-        .summary()
-        .clone();
+    let donor_summary =
+        try_run_scenario_with(&mut ConnectionScratch::new(), donor, &StormPlan::default())
+            .map_err(|e| format!("donor run failed: {e}"))?
+            .summary()
+            .clone();
     chaos_forge_disk_entry(&dir, CacheKey::of(victim), &donor_summary)
         .map_err(|e| format!("forgery helper failed: {e}"))?;
     let cache = FlowCache::new(CacheConfig {
@@ -178,7 +178,7 @@ fn drill_cache_forgery(dir: &Path) -> Result<String, String> {
             "integrity check flagged the forgery — it should be invisible to it".to_owned(),
         );
     }
-    let fresh = try_run_scenario_with(&mut Scratch::new(), victim, &StormPlan::default())
+    let fresh = try_run_scenario_with(&mut ConnectionScratch::new(), victim, &StormPlan::default())
         .map_err(|e| format!("victim run failed: {e}"))?
         .summary()
         .clone();
@@ -326,59 +326,47 @@ fn drill_ack_burst_loss() -> Result<String, String> {
 /// strictly more data than the no-recovery sender over the same horizon
 /// and seed. The comparison itself must replay identically.
 fn drill_ack_delay_frto_undo() -> Result<String, String> {
-    let run = |recovery: Recovery| {
-        let mut eng = Engine::new(31);
-        let tx = eng.add_agent(Box::new(RenoSender::new(
-            FlowId(0),
-            LinkId::from_raw(0),
-            SenderConfig {
+    // A clean, symmetric path: the storm is the only impairment.
+    let path = PathSpec {
+        down_bandwidth_bps: 50_000_000,
+        up_bandwidth_bps: 50_000_000,
+        down_delay: SimDuration::from_millis(25),
+        up_delay: SimDuration::from_millis(25),
+        jitter_sd: SimDuration::ZERO,
+        queue_capacity: 100,
+        down_loss: LossSpec::Lossless,
+        up_loss: LossSpec::Lossless,
+    };
+    // Four ACK-holding episodes: every ACK is delayed ~800 ms (far past
+    // the RTO) but none is dropped.
+    let storm = StormPlan {
+        episodes: [400u64, 2_500, 4_500, 6_400]
+            .iter()
+            .map(|&at| StormEpisode {
+                at: SimTime::from_millis(at),
+                duration: SimDuration::from_millis(800),
+                kind: StormKind::Flap(SimDuration::from_millis(800)),
+            })
+            .collect(),
+    };
+    let mut scratch = ConnectionScratch::new();
+    let mut run = |recovery: Recovery| {
+        let cfg = ConnectionConfig {
+            sender: SenderConfig {
                 stop_after: Some(SimDuration::from_secs(8)),
                 recovery,
                 ..Default::default()
             },
-        )));
-        let rx = eng.add_agent(Box::new(Receiver::new(
-            FlowId(0),
-            LinkId::from_raw(0),
-            ReceiverConfig::default(),
-        )));
-        let down = eng.add_link(
-            LinkSpec::new(rx, "downlink")
-                .bandwidth_bps(50_000_000)
-                .prop_delay(SimDuration::from_millis(25)),
-        );
-        let up = eng.add_link(
-            LinkSpec::new(tx, "uplink")
-                .bandwidth_bps(50_000_000)
-                .prop_delay(SimDuration::from_millis(25)),
-        );
-        eng.agent_mut::<RenoSender>(tx).expect("sender").data_link = down;
-        eng.agent_mut::<Receiver>(rx).expect("receiver").uplink = up;
-        // Four ACK-holding episodes: every ACK is delayed ~800 ms (far
-        // past the RTO) but none is dropped.
-        let plan = StormPlan {
-            episodes: [400u64, 2_500, 4_500, 6_400]
-                .iter()
-                .map(|&at| StormEpisode {
-                    at: SimTime::from_millis(at),
-                    duration: SimDuration::from_millis(800),
-                    kind: StormKind::Flap(SimDuration::from_millis(800)),
-                })
-                .collect(),
+            deadline: SimTime::from_secs(30),
+            storm: storm.clone(),
+            ..Default::default()
         };
-        eng.add_agent(Box::new(StormInjector::new(up, plan)));
-        eng.try_run_until(SimTime::ZERO + SimDuration::from_secs(30))
+        let out = try_run_connection_with(&mut scratch, 31, &path, None, &cfg)
             .map_err(|e| format!("storm run failed: {e}"))?;
-        let delivered = eng
-            .agent_mut::<Receiver>(rx)
-            .expect("receiver")
-            .metrics
-            .next_expected;
-        let sender = eng.agent_mut::<RenoSender>(tx).expect("sender");
         Ok::<_, String>((
-            delivered,
-            sender.metrics.spurious_rto_undone,
-            sender.metrics.timeouts.len() as u64,
+            out.receiver.next_expected,
+            out.sender.spurious_rto_undone,
+            out.sender.timeouts.len() as u64,
         ))
     };
     let (frto_delivered, undone, timeouts) = run(Recovery::Frto)?;
@@ -424,9 +412,13 @@ fn drill_scratch_poison() -> Result<String, String> {
         .seed(77)
         .build()
         .expect("valid");
-    let fresh = try_run_scenario_with(&mut Scratch::new(), &config, &StormPlan::default())
-        .map_err(|e| format!("fresh run failed: {e}"))?;
-    let mut scratch = Scratch::new();
+    let fresh = try_run_scenario_with(
+        &mut ConnectionScratch::new(),
+        &config,
+        &StormPlan::default(),
+    )
+    .map_err(|e| format!("fresh run failed: {e}"))?;
+    let mut scratch = ConnectionScratch::new();
     for round in 0..2 {
         scratch.poison();
         let reused = try_run_scenario_with(&mut scratch, &config, &StormPlan::default())

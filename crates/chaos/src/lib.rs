@@ -22,7 +22,7 @@
 //!   violation pinned to a reproducible `(seed, case)` pair.
 //!
 //! Entry point: [`run_chaos`]. The same `(seed, cases)` pair always
-//! produces the same report (modulo wall-clock), for any worker count.
+//! produces the same report, for any worker count.
 //!
 //! ```
 //! use hsm_chaos::{run_chaos, ChaosOptions};
@@ -97,18 +97,24 @@ impl Default for ChaosOptions {
     }
 }
 
+impl ChaosOptions {
+    /// The worker threads a run uses: `workers`, or every available core
+    /// when it is 0.
+    pub fn worker_count(&self) -> usize {
+        if self.workers == 0 {
+            std::thread::available_parallelism()
+                .map(|w| w.get())
+                .unwrap_or(4)
+        } else {
+            self.workers
+        }
+    }
+}
+
 /// Runs the full harness: fuzzed differential cases (in parallel), then
 /// the fault drills (serially), then the aggregate accuracy oracle, and
 /// shrinks every violating config to a minimal reproduction.
 pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
-    let t0 = std::time::Instant::now();
-    let workers = if opts.workers == 0 {
-        std::thread::available_parallelism()
-            .map(|w| w.get())
-            .unwrap_or(4)
-    } else {
-        opts.workers
-    };
     let dir = opts
         .dir
         .clone()
@@ -120,7 +126,7 @@ pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
 
     // Per-case work is pure in (seed, case), so sharding over workers
     // cannot change the result, only the wall-clock.
-    let outcomes = par_map_workers(opts.cases, workers, |case| {
+    let outcomes = par_map_workers(opts.cases, opts.worker_count(), |case| {
         let config = config_for_case(&opts.ranges, opts.seed, case);
         check_case(case, &config, &oracle)
     });
@@ -170,11 +176,9 @@ pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
     ChaosReport {
         seed: opts.seed,
         cases: opts.cases,
-        workers,
         violations,
         drills,
         aggregate,
-        wall_s: t0.elapsed().as_secs_f64(),
     }
 }
 

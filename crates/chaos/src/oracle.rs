@@ -24,8 +24,9 @@ use hsm_core::enhanced::{round_distribution, EnhancedModel};
 use hsm_core::estimate::EstimateConfig;
 use hsm_core::eval::{evaluate_flow, FlowEval};
 use hsm_runtime::cache::{CacheConfig, CacheKey, FlowCache};
-use hsm_scenario::runner::{try_run_scenario_with, ScenarioConfig, Scratch};
+use hsm_scenario::runner::{try_run_scenario_with, ScenarioConfig};
 use hsm_simnet::chaos::StormPlan;
+use hsm_tcp::connection::ConnectionScratch;
 use hsm_trace::summary::FlowSummary;
 use std::path::{Path, PathBuf};
 
@@ -119,25 +120,26 @@ pub fn check_case(case: u64, config: &ScenarioConfig, oracle: &OracleConfig) -> 
     let mut violations = Vec::new();
 
     // --- Layer 1: the three-way differential. -------------------------
-    let fresh = match try_run_scenario_with(&mut Scratch::new(), config, &StormPlan::default()) {
-        Ok(out) => out,
-        Err(e) => {
-            violations.push(violation(
-                case,
-                config,
-                "run-failed",
-                format!("valid config refused to run: {e}"),
-            ));
-            return CaseOutcome {
-                violations,
-                eval: None,
-                in_region: false,
-            };
-        }
-    };
+    let fresh =
+        match try_run_scenario_with(&mut ConnectionScratch::new(), config, &StormPlan::default()) {
+            Ok(out) => out,
+            Err(e) => {
+                violations.push(violation(
+                    case,
+                    config,
+                    "run-failed",
+                    format!("valid config refused to run: {e}"),
+                ));
+                return CaseOutcome {
+                    violations,
+                    eval: None,
+                    in_region: false,
+                };
+            }
+        };
     let summary = fresh.summary();
 
-    let mut scratch = Scratch::new();
+    let mut scratch = ConnectionScratch::new();
     scratch.poison();
     match try_run_scenario_with(&mut scratch, config, &StormPlan::default()) {
         Ok(reused) => {
@@ -413,7 +415,8 @@ mod tests {
     fn forged_summary_is_caught_by_the_differential() {
         let cfg = quick_config();
         let fresh =
-            try_run_scenario_with(&mut Scratch::new(), &cfg, &StormPlan::default()).expect("runs");
+            try_run_scenario_with(&mut ConnectionScratch::new(), &cfg, &StormPlan::default())
+                .expect("runs");
         let mut forged = fresh.summary().clone();
         forged.throughput_sps *= 1.5;
         let diff = compare_summaries(fresh.summary(), &forged);
@@ -427,7 +430,8 @@ mod tests {
         // oracle must flag it (detection proof for the invariant layer).
         let cfg = quick_config();
         let fresh =
-            try_run_scenario_with(&mut Scratch::new(), &cfg, &StormPlan::default()).expect("runs");
+            try_run_scenario_with(&mut ConnectionScratch::new(), &cfg, &StormPlan::default())
+                .expect("runs");
         let mut bad = fresh.summary().clone();
         bad.p_d = 1.5;
         bad.spurious_timeouts = bad.timeouts + 1;
@@ -448,7 +452,8 @@ mod tests {
     fn warm_cache_round_trip_detects_divergence() {
         let cfg = quick_config();
         let fresh =
-            try_run_scenario_with(&mut Scratch::new(), &cfg, &StormPlan::default()).expect("runs");
+            try_run_scenario_with(&mut ConnectionScratch::new(), &cfg, &StormPlan::default())
+                .expect("runs");
         assert_eq!(
             warm_cache_round_trip(&cfg, fresh.summary(), None),
             Ok(None),

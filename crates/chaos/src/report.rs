@@ -60,22 +60,23 @@ pub struct AggregateOracle {
 }
 
 /// Everything one `repro chaos` run produces.
+///
+/// Only deterministic results live here: the report is a pure function of
+/// `(seed, cases)`, byte-identical for any worker count and host. The
+/// host-dependent worker count and wall-clock are printed by `repro chaos`
+/// instead.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ChaosReport {
     /// Master seed of the run.
     pub seed: u64,
     /// Cases executed.
     pub cases: u64,
-    /// Worker threads used (output is identical for any count).
-    pub workers: usize,
     /// Per-case oracle violations.
     pub violations: Vec<Violation>,
     /// Fault-drill outcomes.
     pub drills: Vec<DrillResult>,
     /// Aggregate accuracy oracle.
     pub aggregate: AggregateOracle,
-    /// Wall-clock of the whole run, seconds.
-    pub wall_s: f64,
 }
 
 impl ChaosReport {
@@ -100,7 +101,6 @@ mod tests {
         let report = ChaosReport {
             seed: 42,
             cases: 3,
-            workers: 2,
             violations: vec![Violation {
                 case: 1,
                 check: "determinism".into(),
@@ -122,7 +122,6 @@ mod tests {
                 batch_parity: true,
                 skipped: false,
             },
-            wall_s: 1.5,
         };
         assert!(!report.ok(), "a violation must fail the report");
         let json = serde_json::to_string(&report).expect("serialize");
@@ -135,7 +134,6 @@ mod tests {
         let mut report = ChaosReport {
             seed: 0,
             cases: 0,
-            workers: 1,
             violations: vec![],
             drills: vec![],
             aggregate: AggregateOracle {
@@ -143,7 +141,6 @@ mod tests {
                 batch_parity: true,
                 ..Default::default()
             },
-            wall_s: 0.0,
         };
         assert!(report.ok());
         report.drills.push(DrillResult {

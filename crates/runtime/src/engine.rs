@@ -21,10 +21,10 @@
 //! [`ScenarioOutcome`] for figure generators that need the packet
 //! records.
 //!
-//! Each worker owns a [`Scratch`] (simulation engine, recorder, capture
-//! slab) reused across every flow it handles, and writes each result
-//! into the flow's own pre-allocated slot — flow `i` goes to slot `i`,
-//! no channel, no post-hoc sort. Completed flows are memoized in a
+//! Each worker owns a [`ConnectionScratch`] (simulation engine, delivery
+//! log, capture slab) reused across every flow it handles, and writes
+//! each result into the flow's own pre-allocated slot — flow `i` goes to
+//! slot `i`, no channel, no post-hoc sort. Completed flows are memoized in a
 //! sharded [`FlowCache`]; the slot vector *is* index order, so the
 //! summary stream is **bit-identical** for any worker count and any
 //! cache state (cold, warm memory, warm disk). Wall-clock and
@@ -34,9 +34,10 @@
 use crate::cache::{CacheConfig, CacheKey, FlowCache, ENGINE_VERSION};
 use crate::error::EngineError;
 use hsm_scenario::dataset::{plan_dataset, plan_stationary_baseline, DatasetConfig, DatasetFlow};
-use hsm_scenario::runner::{try_run_scenario_with, ScenarioConfig, ScenarioOutcome, Scratch};
+use hsm_scenario::runner::{try_run_scenario_with, ScenarioConfig, ScenarioOutcome};
 use hsm_simnet::chaos::StormPlan;
 use hsm_simnet::event::QueueStats;
+use hsm_tcp::connection::ConnectionScratch;
 use hsm_trace::summary::FlowSummary;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -195,7 +196,7 @@ pub struct ChaosInjection {
 #[cfg(any(test, feature = "chaos"))]
 impl ChaosInjection {
     /// Applies the pre-flow faults for flow `i` on the claiming worker.
-    fn before_flow(&self, i: usize, scratch: &mut Scratch) {
+    fn before_flow(&self, i: usize, scratch: &mut ConnectionScratch) {
         if self.poison_scratch {
             scratch.poison();
         }
@@ -384,7 +385,7 @@ impl Campaign {
             let fail_floor = &fail_floor;
             for worker in 0..workers {
                 scope.spawn(move || {
-                    let mut scratch = Scratch::new();
+                    let mut scratch = ConnectionScratch::new();
                     let mut flows = 0usize;
                     let mut busy = 0.0f64;
                     let mut round = 0usize;
@@ -492,7 +493,7 @@ impl Campaign {
         worker: usize,
         configs: &[ScenarioConfig],
         cache: &FlowCache,
-        scratch: &mut Scratch,
+        scratch: &mut ConnectionScratch,
     ) -> Result<FlowRun, EngineError> {
         let config = &configs[i];
         #[cfg(any(test, feature = "chaos"))]

@@ -21,8 +21,8 @@
 //!   of an expanded spec, per-shard [`shard::ShardReport`]s, and a merge
 //!   that folds them into one [`shard::CampaignResult`] bit-identical to
 //!   the single-process run;
-//! * [`parallel`] — index-ordered parallel map/mean with a fixed-shape
-//!   pairwise reduction (promoted from `hsm-bench`);
+//! * [`parallel`] — index-ordered parallel map whose output is the same
+//!   for every worker count (promoted from `hsm-bench`);
 //! * [`error`] — the engine/cache failure surface.
 //!
 //! ```
@@ -74,9 +74,7 @@ pub mod prelude {
         CampaignReport, FlowRun,
     };
     pub use crate::error::{CacheError, EngineError};
-    pub use crate::parallel::{
-        pairwise_sum, par_map, par_map_workers, par_mean, par_mean_workers, try_par_map_workers,
-    };
+    pub use crate::parallel::{par_map, par_map_workers, try_par_map_workers};
     pub use crate::shard::{
         merge_shards, read_shard_report, run_shard, shard_file_name, shard_indices, shard_len,
         write_shard_report, CampaignResult, ShardReport,

@@ -177,7 +177,7 @@ pub fn plan_stationary_baseline(cfg: &DatasetConfig, n: u32) -> Vec<ScenarioConf
 pub(crate) fn run_plan_serially(
     plans: impl IntoIterator<Item = (usize, ScenarioConfig)>,
 ) -> Vec<DatasetFlow> {
-    let mut scratch = crate::runner::Scratch::new();
+    let mut scratch = hsm_tcp::connection::ConnectionScratch::new();
     let calm = hsm_simnet::chaos::StormPlan::default();
     plans
         .into_iter()

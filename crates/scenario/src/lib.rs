@@ -25,7 +25,7 @@
 //!     duration: SimDuration::from_secs(10),
 //!     ..Default::default()
 //! };
-//! let out = try_run_scenario_with(&mut Scratch::new(), &config, &StormPlan::default())
+//! let out = try_run_scenario_with(&mut ConnectionScratch::new(), &config, &StormPlan::default())
 //!     .expect("valid configuration");
 //! assert_eq!(out.summary().provider, "China Unicom");
 //! ```
@@ -53,7 +53,7 @@ pub mod prelude {
     pub use crate::provider::Provider;
     pub use crate::runner::{
         try_run_scenario_with, Motion, ScenarioConfig, ScenarioConfigBuilder, ScenarioError,
-        ScenarioOutcome, Scratch, SCENARIO_HIGH_SPEED, SCENARIO_STATIONARY,
+        ScenarioOutcome, SCENARIO_HIGH_SPEED, SCENARIO_STATIONARY,
     };
     pub use crate::spec::{
         expansion_digest, load_spec, CampaignSpec, GridKind, ScenarioBase, ScenarioGrid, SpecError,
@@ -62,4 +62,6 @@ pub mod prelude {
     /// The uplink storm schedule [`try_run_scenario_with`] takes; empty
     /// (`StormPlan::default()`) for a calm run.
     pub use hsm_simnet::chaos::StormPlan;
+    /// The reusable run state [`try_run_scenario_with`] takes first.
+    pub use hsm_tcp::connection::ConnectionScratch;
 }

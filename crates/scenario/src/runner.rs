@@ -373,35 +373,13 @@ impl ScenarioOutcome {
     }
 }
 
-/// Reusable working memory for scenario runs.
+/// Runs one scenario end to end through a caller-held
+/// [`ConnectionScratch`]: validate, simulate, analyse.
 ///
-/// Holds the simulation engine, the event recorder and the capture slab so
-/// a worker running many flows back to back ([`try_run_scenario_with`])
-/// pays the big allocations once instead of per flow. A `Scratch` carries
-/// no run state between flows: runs through a reused scratch are
-/// bit-identical to fresh ones.
-#[derive(Debug, Default)]
-pub struct Scratch {
-    conn: ConnectionScratch,
-}
-
-impl Scratch {
-    /// Creates an empty scratch.
-    pub fn new() -> Scratch {
-        Scratch::default()
-    }
-
-    /// Deliberately dirties the scratch's engine, recorder and capture
-    /// slab (the `hsm-chaos` scratch-poisoning fault). A poisoned scratch
-    /// handed to [`try_run_scenario_with`] must still produce results
-    /// bit-identical to a fresh run — the per-run reset clears everything.
-    pub fn poison(&mut self) {
-        self.conn.poison();
-    }
-}
-
-/// Runs one scenario end to end through a caller-held [`Scratch`]:
-/// validate, simulate, analyse.
+/// A worker running many flows back to back reuses one scratch and pays
+/// the big allocations (engine, delivery log, capture slab) once instead
+/// of per flow; runs through a reused scratch are bit-identical to fresh
+/// ones.
 ///
 /// `storm` is a chaos-storm schedule replayed on the uplink — the §V
 /// recovery-study rig: the scenario's provider path and motion stay as
@@ -417,7 +395,7 @@ impl Scratch {
 /// [`ScenarioConfig::validate`], or [`ScenarioError::Engine`] when the
 /// simulation engine reports internal bookkeeping corruption.
 pub fn try_run_scenario_with(
-    scratch: &mut Scratch,
+    scratch: &mut ConnectionScratch,
     config: &ScenarioConfig,
     storm: &StormPlan,
 ) -> Result<ScenarioOutcome, ScenarioError> {
@@ -426,13 +404,7 @@ pub fn try_run_scenario_with(
     let mobility = config.mobility();
     let mut conn = config.connection();
     conn.storm.clone_from(storm);
-    let outcome = try_run_connection_with(
-        &mut scratch.conn,
-        config.seed,
-        &path,
-        mobility.as_ref(),
-        &conn,
-    )?;
+    let outcome = try_run_connection_with(scratch, config.seed, &path, mobility.as_ref(), &conn)?;
     let analysis = analyze_flow(&outcome.trace, &TimeoutConfig::default());
     Ok(ScenarioOutcome {
         config: config.clone(),
@@ -446,7 +418,7 @@ mod tests {
     use super::*;
 
     fn run(config: &ScenarioConfig) -> ScenarioOutcome {
-        try_run_scenario_with(&mut Scratch::new(), config, &StormPlan::default())
+        try_run_scenario_with(&mut ConnectionScratch::new(), config, &StormPlan::default())
             .expect("valid config runs")
     }
 
@@ -527,7 +499,7 @@ mod tests {
 
     #[test]
     fn reused_scratch_matches_fresh_scenario_runs() {
-        let mut scratch = Scratch::new();
+        let mut scratch = ConnectionScratch::new();
         // Mix motions and providers so the scratch crosses engine shapes
         // (with/without mobility channel) between runs.
         let configs = [
@@ -592,7 +564,7 @@ mod tests {
                 })
                 .collect(),
         };
-        let mut scratch = Scratch::new();
+        let mut scratch = ConnectionScratch::new();
         let stormy = try_run_scenario_with(&mut scratch, &config, &plan).expect("storm run");
         let calm = run(&config);
         assert!(

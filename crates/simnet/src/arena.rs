@@ -14,6 +14,7 @@
 //! callbacks and [`Agent::on_packet`](crate::agent::Agent::on_packet)),
 //! and analyzers that want bulk access can read the columns directly.
 
+use crate::link::LinkId;
 use crate::packet::{FlowId, Packet, PacketId, PacketKind, SeqNo};
 use crate::time::SimTime;
 
@@ -38,6 +39,8 @@ pub struct PacketArena {
     size: Vec<u32>,
     sent_at: Vec<SimTime>,
     tag: Vec<u64>,
+    /// The link each packet was sent on.
+    link: Vec<LinkId>,
 }
 
 impl PacketArena {
@@ -67,12 +70,14 @@ impl PacketArena {
         self.size.clear();
         self.sent_at.clear();
         self.tag.clear();
+        self.link.clear();
     }
 
-    /// Stores `packet`'s fields in the next arena row and returns the id
-    /// (== row index) it must travel under. The caller stamps `id` and
-    /// `sent_at` on the packet before pushing; `packet.id` is not read.
-    pub fn push(&mut self, packet: &Packet) -> PacketId {
+    /// Stores `packet`'s fields and its sending `link` in the next arena
+    /// row and returns the id (== row index) it must travel under. The
+    /// caller stamps `id` and `sent_at` on the packet before pushing;
+    /// `packet.id` is not read.
+    pub fn push(&mut self, packet: &Packet, link: LinkId) -> PacketId {
         let id = PacketId(self.flow.len() as u64);
         let (kind, word, count) = match packet.kind {
             PacketKind::Data { seq, retransmit } => (
@@ -93,6 +98,7 @@ impl PacketArena {
         self.size.push(packet.size_bytes);
         self.sent_at.push(packet.sent_at);
         self.tag.push(packet.tag);
+        self.link.push(link);
         id
     }
 
@@ -157,6 +163,11 @@ impl PacketArena {
     pub fn sent_ats(&self) -> &[SimTime] {
         &self.sent_at
     }
+
+    /// Dense per-packet sending-link column (index == packet id).
+    pub fn links(&self) -> &[LinkId] {
+        &self.link
+    }
 }
 
 #[cfg(test)]
@@ -174,7 +185,7 @@ mod tests {
         let mut arena = PacketArena::new();
         for i in 0..10u64 {
             let p = stamped(Packet::data(FlowId(3), SeqNo(i), i % 2 == 1), i, i);
-            assert_eq!(arena.push(&p), PacketId(i));
+            assert_eq!(arena.push(&p, LinkId::from_raw(0)), PacketId(i));
         }
         assert_eq!(arena.len(), 10);
         assert!(!arena.is_empty());
@@ -185,8 +196,8 @@ mod tests {
         let mut arena = PacketArena::new();
         let d = stamped(Packet::data(FlowId(1), SeqNo(41), true).with_tag(9), 0, 5);
         let a = stamped(Packet::ack(FlowId(2), SeqNo(7), 2), 1, 6);
-        arena.push(&d);
-        arena.push(&a);
+        arena.push(&d, LinkId::from_raw(0));
+        arena.push(&a, LinkId::from_raw(1));
         assert_eq!(arena.get(PacketId(0)), d);
         assert_eq!(arena.get(PacketId(1)), a);
         assert_eq!(arena.size_bytes(PacketId(0)), Packet::DATA_BYTES);
@@ -200,24 +211,35 @@ mod tests {
     #[test]
     fn clear_recycles_rows_and_restarts_ids() {
         let mut arena = PacketArena::new();
-        arena.push(&stamped(Packet::data(FlowId(0), SeqNo(0), false), 0, 0));
+        arena.push(
+            &stamped(Packet::data(FlowId(0), SeqNo(0), false), 0, 0),
+            LinkId::from_raw(0),
+        );
         arena.clear();
         assert!(arena.is_empty());
         let p = stamped(Packet::ack(FlowId(5), SeqNo(3), 1), 0, 1);
-        assert_eq!(arena.push(&p), PacketId(0));
+        assert_eq!(arena.push(&p, LinkId::from_raw(2)), PacketId(0));
+        assert_eq!(arena.links(), &[LinkId::from_raw(2)]);
         assert_eq!(arena.get(PacketId(0)), p);
     }
 
     #[test]
     fn bulk_columns_expose_the_same_rows() {
         let mut arena = PacketArena::new();
-        arena.push(&stamped(Packet::data(FlowId(4), SeqNo(0), false), 0, 2));
-        arena.push(&stamped(Packet::ack(FlowId(6), SeqNo(1), 1), 1, 3));
+        arena.push(
+            &stamped(Packet::data(FlowId(4), SeqNo(0), false), 0, 2),
+            LinkId::from_raw(3),
+        );
+        arena.push(
+            &stamped(Packet::ack(FlowId(6), SeqNo(1), 1), 1, 3),
+            LinkId::from_raw(1),
+        );
         assert_eq!(arena.flows(), &[4, 6]);
         assert_eq!(arena.sizes(), &[Packet::DATA_BYTES, Packet::ACK_BYTES]);
         assert_eq!(
             arena.sent_ats(),
             &[SimTime::from_millis(2), SimTime::from_millis(3)]
         );
+        assert_eq!(arena.links(), &[LinkId::from_raw(3), LinkId::from_raw(1)]);
     }
 }

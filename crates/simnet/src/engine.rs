@@ -19,11 +19,12 @@
 //!   [`Packet`] is materialized from the columns only at the edges
 //!   (observer callbacks and [`Agent::on_packet`]);
 //! * link labels are interned as `Arc<str>` at registration, so observer
-//!   callbacks and recorded events share one allocation per link;
+//!   callbacks borrow one allocation per link instead of a per-event copy;
 //! * observers live in an enum-dispatched
 //!   [`ObserverSet`]: with no observer the
-//!   engine skips event materialization altogether, and the single-
-//!   recorder case is a direct (non-virtual) call;
+//!   engine skips event materialization altogether, and the single
+//!   delivery-log case (every simulated flow's capture) is a direct
+//!   (non-virtual) call;
 //! * the [`EventQueue`] keeps one FIFO lane per link for `Deliver` and
 //!   one for `LinkReady` (both streams are monotone in time, so a
 //!   schedule is an append) and a lazily-cancelled binary heap for
@@ -70,7 +71,7 @@ use crate::error::SimError;
 use crate::event::{Event, EventId, EventKind, EventQueue, QueueStats};
 use crate::link::{Accept, Link, LinkId, LinkSpec, QueuedPacket};
 use crate::observer::{
-    AnyObserver, DeliveryLog, DropCause, Observer, ObserverSet, PacketEventKind, VecRecorder,
+    AnyObserver, DeliveryLog, DropCause, Observer, ObserverSet, PacketEventKind,
 };
 use crate::packet::{Packet, PacketId};
 use crate::rng::{RngFactory, SimRng};
@@ -214,7 +215,7 @@ impl Core {
             );
         }
         let handle = QueuedPacket {
-            id: self.arena.push(&packet),
+            id: self.arena.push(&packet, link_id),
             size_bytes: packet.size_bytes,
         };
         debug_assert_eq!(handle.id, packet.id, "arena row diverged from id");
@@ -390,18 +391,11 @@ impl Engine {
         id
     }
 
-    /// Registers a boxed packet-event observer (dynamic dispatch).
-    ///
-    /// For a [`VecRecorder`], prefer [`Engine::add_recorder`] — it takes
-    /// the allocation-free fast path.
+    /// Registers a boxed packet-event observer (dynamic dispatch), such
+    /// as a [`VecRecorder`](crate::observer::VecRecorder) whose
+    /// clone-shared storage keeps the caller's handle live.
     pub fn add_observer(&mut self, obs: Box<dyn Observer>) {
         self.core.observers.push(AnyObserver::Dyn(obs));
-    }
-
-    /// Registers a [`VecRecorder`] on the non-virtual fast path. The
-    /// recorder's clone-shared storage keeps the caller's handle live.
-    pub fn add_recorder(&mut self, rec: VecRecorder) {
-        self.core.observers.push(AnyObserver::Recorder(rec));
     }
 
     /// Registers a [`DeliveryLog`] — the cheapest useful observer. Only
@@ -646,7 +640,7 @@ mod tests {
         }));
         let _ = pinger;
         let rec = VecRecorder::new();
-        eng.add_recorder(rec.clone());
+        eng.add_observer(Box::new(rec.clone()));
         (eng, sink, rec)
     }
 
@@ -687,35 +681,38 @@ mod tests {
     }
 
     #[test]
-    fn boxed_observer_and_recorder_fast_path_agree() {
-        // The same run, observed through the dyn path and the fast path,
-        // must record the same events in the same order.
-        let run = |fast: bool| {
-            let mut eng = Engine::new(5);
-            let sink = eng.add_agent(Box::new(Sink {
-                deliveries: Vec::new(),
-            }));
-            let link = eng.add_link(
-                LinkSpec::new(sink, "wire")
-                    .bandwidth_bps(12_000_000)
-                    .prop_delay(SimDuration::from_millis(10))
-                    .loss(ChannelLoss::new(Box::new(Bernoulli::new(0.2)))),
-            );
-            eng.add_agent(Box::new(Pinger {
-                link,
-                count: 200,
-                sent: 0,
-            }));
-            let rec = VecRecorder::new();
-            if fast {
-                eng.add_recorder(rec.clone());
-            } else {
-                eng.add_observer(Box::new(rec.clone()));
-            }
-            eng.try_run_until(SimTime::MAX).unwrap();
-            rec.take_events()
-        };
-        assert_eq!(run(true), run(false));
+    fn delivery_log_fast_path_agrees_with_a_boxed_recorder() {
+        // The same run, observed through the dyn path and the delivery-log
+        // fast path side by side, must record the same deliveries in the
+        // same order.
+        let mut eng = Engine::new(5);
+        let sink = eng.add_agent(Box::new(Sink {
+            deliveries: Vec::new(),
+        }));
+        let link = eng.add_link(
+            LinkSpec::new(sink, "wire")
+                .bandwidth_bps(12_000_000)
+                .prop_delay(SimDuration::from_millis(10))
+                .loss(ChannelLoss::new(Box::new(Bernoulli::new(0.2)))),
+        );
+        eng.add_agent(Box::new(Pinger {
+            link,
+            count: 200,
+            sent: 0,
+        }));
+        let rec = VecRecorder::new();
+        let log = DeliveryLog::new();
+        eng.add_observer(Box::new(rec.clone()));
+        eng.add_delivery_log(log.clone());
+        eng.try_run_until(SimTime::MAX).unwrap();
+        let recorded: Vec<_> = rec
+            .events()
+            .into_iter()
+            .filter(|e| e.kind == PacketEventKind::Delivered)
+            .map(|e| (e.packet.id, e.time))
+            .collect();
+        assert!(!recorded.is_empty());
+        log.with_deliveries(|d| assert_eq!(d, recorded.as_slice()));
     }
 
     #[test]
@@ -739,7 +736,7 @@ mod tests {
                 sent: 0,
             }));
             let rec = VecRecorder::new();
-            eng.add_recorder(rec.clone());
+            eng.add_observer(Box::new(rec.clone()));
             (sink, rec)
         };
 

@@ -2,21 +2,21 @@
 //!
 //! Observers are the simulator's equivalent of running *wireshark on both
 //! endpoints*: they see every packet enter a link, get destroyed by the
-//! channel or queue, and get delivered. The trace crate builds per-flow
-//! traces from these events; tests use the bundled [`VecRecorder`].
+//! channel or queue, and get delivered. Trace capture needs only the
+//! [`DeliveryLog`] (everything else lives in the packet arena); tests and
+//! figure generators that want the raw stream use the bundled
+//! [`VecRecorder`].
 //!
 //! # Dispatch fast path
 //!
 //! The engine stores observers in an [`ObserverSet`] — an enum with three
-//! states (`None`, a single [`VecRecorder`], or a mixed list). The two
-//! overwhelmingly common configurations cost near zero per event:
+//! states (`None`, a single [`DeliveryLog`], or a mixed list). The two
+//! configurations every simulated flow runs cost near zero per event:
 //!
 //! * **no observer** — one discriminant check, nothing else (the engine
 //!   does not even resolve the link label);
-//! * **single recorder** — a direct, inlineable call into
-//!   [`VecRecorder::record`] with no virtual dispatch and no allocation:
-//!   the recorded [`PacketEvent`] shares the link's interned `Arc<str>`
-//!   label instead of cloning a `String` per event.
+//! * **single delivery log** — a discriminant check per `Sent`/`Dropped`
+//!   event and a two-word push per delivery, with no virtual dispatch.
 //!
 //! Arbitrary boxed [`Observer`]s remain supported through
 //! [`ObserverSet::Mixed`], which falls back to dynamic dispatch.
@@ -57,8 +57,7 @@ pub struct PacketEvent {
     /// On which link.
     pub link: u32,
     /// Link label at the time of recording ("downlink", "uplink", …).
-    /// Shares the link's interned allocation — cloning an event bumps a
-    /// refcount instead of copying the string.
+    /// Cloning an event bumps a refcount instead of copying the string.
     pub link_label: Arc<str>,
     /// What happened.
     pub kind: PacketEventKind,
@@ -93,7 +92,7 @@ pub trait Observer {
 ///
 /// let recorder = VecRecorder::new();
 /// let handle = recorder.clone();
-/// // engine.add_recorder(recorder);
+/// // engine.add_observer(Box::new(recorder));
 /// // ... run ...
 /// assert!(handle.events().is_empty());
 /// ```
@@ -110,8 +109,8 @@ impl VecRecorder {
 
     /// Snapshot of all events recorded so far (cloned).
     ///
-    /// Prefer [`VecRecorder::take_events`] on hot paths: it drains the
-    /// batch without copying it.
+    /// Prefer [`VecRecorder::take_events`] when the recorder is done: it
+    /// drains the batch without copying it.
     pub fn events(&self) -> Vec<PacketEvent> {
         self.events.borrow().clone()
     }
@@ -127,46 +126,8 @@ impl VecRecorder {
     }
 
     /// Drains and returns all recorded events, leaving the recorder empty.
-    ///
-    /// This moves the backing `Vec` out, so the recorder starts its next
-    /// batch from a fresh (empty-capacity) buffer. Scratch-reusing callers
-    /// should prefer [`VecRecorder::with_events`] + [`VecRecorder::clear`],
-    /// which keep the allocation alive across runs.
     pub fn take_events(&self) -> Vec<PacketEvent> {
         std::mem::take(&mut *self.events.borrow_mut())
-    }
-
-    /// Runs `f` over a borrow of the recorded events without copying or
-    /// draining them — the allocation-free way to consume a batch.
-    pub fn with_events<R>(&self, f: impl FnOnce(&[PacketEvent]) -> R) -> R {
-        f(&self.events.borrow())
-    }
-
-    /// Forgets all recorded events but keeps the buffer's capacity, so a
-    /// recorder reused across simulation runs stops allocating once it has
-    /// seen its largest batch.
-    pub fn clear(&self) {
-        self.events.borrow_mut().clear();
-    }
-
-    /// Records one event sharing the interned link label — the engine's
-    /// allocation-free fast path.
-    #[inline]
-    pub fn record(
-        &self,
-        kind: PacketEventKind,
-        time: SimTime,
-        link: LinkId,
-        label: &Arc<str>,
-        packet: &Packet,
-    ) {
-        self.events.borrow_mut().push(PacketEvent {
-            time,
-            link: link.as_usize() as u32,
-            link_label: Arc::clone(label),
-            kind,
-            packet: packet.clone(),
-        });
     }
 
     fn push(&self, ev: PacketEvent) {
@@ -265,11 +226,9 @@ impl DeliveryLog {
     }
 }
 
-/// One registered observer: either the recorder fast path or a boxed
+/// One registered observer: either the delivery-log fast path or a boxed
 /// trait object.
 pub enum AnyObserver {
-    /// A [`VecRecorder`] dispatched without virtual calls.
-    Recorder(VecRecorder),
     /// A [`DeliveryLog`] — ignores everything but deliveries.
     Deliveries(DeliveryLog),
     /// Anything else, behind dynamic dispatch.
@@ -287,7 +246,6 @@ impl AnyObserver {
         packet: &Packet,
     ) {
         match self {
-            AnyObserver::Recorder(rec) => rec.record(kind, time, link, label, packet),
             AnyObserver::Deliveries(log) => {
                 if kind == PacketEventKind::Delivered {
                     log.record(packet.id, time);
@@ -309,8 +267,6 @@ pub enum ObserverSet {
     /// No observer registered: events are not materialized at all.
     #[default]
     None,
-    /// Exactly one [`VecRecorder`]: direct calls, no virtual dispatch.
-    Recorder(VecRecorder),
     /// Exactly one [`DeliveryLog`]: only `Delivered` events are stored,
     /// as two words each; `Sent`/`Dropped` cost a discriminant check.
     Deliveries(DeliveryLog),
@@ -332,13 +288,9 @@ impl ObserverSet {
         match std::mem::take(self) {
             ObserverSet::None => {
                 *self = match obs {
-                    AnyObserver::Recorder(rec) => ObserverSet::Recorder(rec),
                     AnyObserver::Deliveries(log) => ObserverSet::Deliveries(log),
                     other => ObserverSet::Mixed(vec![other]),
                 }
-            }
-            ObserverSet::Recorder(rec) => {
-                *self = ObserverSet::Mixed(vec![AnyObserver::Recorder(rec), obs]);
             }
             ObserverSet::Deliveries(log) => {
                 *self = ObserverSet::Mixed(vec![AnyObserver::Deliveries(log), obs]);
@@ -362,7 +314,6 @@ impl ObserverSet {
     ) {
         match self {
             ObserverSet::None => {}
-            ObserverSet::Recorder(rec) => rec.record(kind, time, link, label, packet),
             ObserverSet::Deliveries(log) => {
                 if kind == PacketEventKind::Delivered {
                     log.record(packet.id, time);
@@ -414,43 +365,6 @@ mod tests {
     }
 
     #[test]
-    fn with_events_borrows_and_clear_keeps_capacity() {
-        let rec = VecRecorder::new();
-        let mut sink = rec.clone();
-        let p = Packet::data(FlowId(0), SeqNo(0), false);
-        for _ in 0..32 {
-            sink.on_sent(SimTime::ZERO, LinkId::from_raw(0), "dl", &p);
-        }
-        let n = rec.with_events(|evs| evs.len());
-        assert_eq!(n, 32);
-        assert_eq!(rec.len(), 32, "with_events must not drain");
-        rec.clear();
-        assert!(rec.is_empty());
-        // The shared buffer survives the clear: new events land in it.
-        sink.on_sent(SimTime::ZERO, LinkId::from_raw(0), "dl", &p);
-        assert_eq!(rec.len(), 1);
-    }
-
-    #[test]
-    fn record_shares_the_interned_label() {
-        let rec = VecRecorder::new();
-        let label: Arc<str> = "downlink".into();
-        let p = Packet::data(FlowId(0), SeqNo(0), false);
-        rec.record(
-            PacketEventKind::Sent,
-            SimTime::ZERO,
-            LinkId::from_raw(0),
-            &label,
-            &p,
-        );
-        let evs = rec.take_events();
-        assert!(
-            Arc::ptr_eq(&evs[0].link_label, &label),
-            "label must be shared, not copied"
-        );
-    }
-
-    #[test]
     fn delivery_log_stores_only_deliveries() {
         let mut set = ObserverSet::default();
         let log = DeliveryLog::new();
@@ -493,7 +407,7 @@ mod tests {
         // Pushing a second observer upgrades the set to Mixed; the log
         // keeps receiving deliveries through the list path.
         let rec = VecRecorder::new();
-        set.push(AnyObserver::Recorder(rec.clone()));
+        set.push(AnyObserver::Dyn(Box::new(rec.clone())));
         assert!(matches!(set, ObserverSet::Mixed(_)));
         set.emit(
             PacketEventKind::Delivered,
@@ -511,8 +425,8 @@ mod tests {
         let mut set = ObserverSet::default();
         assert!(set.is_none());
         let a = VecRecorder::new();
-        set.push(AnyObserver::Recorder(a.clone()));
-        assert!(matches!(set, ObserverSet::Recorder(_)));
+        set.push(AnyObserver::Dyn(Box::new(a.clone())));
+        assert!(matches!(set, ObserverSet::Mixed(_)));
         let b = VecRecorder::new();
         set.push(AnyObserver::Dyn(Box::new(b.clone())));
         assert!(matches!(set, ObserverSet::Mixed(_)));
@@ -526,7 +440,7 @@ mod tests {
             &label,
             &p,
         );
-        assert_eq!(a.len(), 1, "fast-path recorder sees the event");
+        assert_eq!(a.len(), 1, "first dyn observer sees the event");
         assert_eq!(b.len(), 1, "dyn observer sees the event");
         assert_eq!(&*b.events()[0].link_label, "wire");
     }

@@ -10,6 +10,7 @@
 use crate::metrics::{ReceiverMetrics, SenderMetrics};
 use crate::receiver::{Receiver, ReceiverConfig};
 use crate::reno::{RenoSender, SenderConfig};
+use hsm_simnet::agent::AgentId;
 use hsm_simnet::cellular::{CellLayout, ChannelProcess, ChannelStats, HandoffParams};
 use hsm_simnet::chaos::{StormInjector, StormPlan};
 use hsm_simnet::error::SimError;
@@ -126,6 +127,37 @@ impl Default for PathSpec {
     }
 }
 
+impl PathSpec {
+    /// Registers the path's two links: the downlink into `down_to`
+    /// labelled `downlink{suffix}`, then the uplink into `up_to` labelled
+    /// `uplink{suffix}`.
+    pub(crate) fn add_links(
+        &self,
+        eng: &mut Engine,
+        down_to: AgentId,
+        up_to: AgentId,
+        suffix: &str,
+    ) -> (LinkId, LinkId) {
+        let down = eng.add_link(
+            LinkSpec::new(down_to, format!("downlink{suffix}"))
+                .bandwidth_bps(self.down_bandwidth_bps)
+                .prop_delay(self.down_delay)
+                .jitter_sd(self.jitter_sd)
+                .queue_capacity(self.queue_capacity)
+                .loss(self.down_loss.build()),
+        );
+        let up = eng.add_link(
+            LinkSpec::new(up_to, format!("uplink{suffix}"))
+                .bandwidth_bps(self.up_bandwidth_bps)
+                .prop_delay(self.up_delay)
+                .jitter_sd(self.jitter_sd)
+                .queue_capacity(self.queue_capacity)
+                .loss(self.up_loss.build()),
+        );
+        (down, up)
+    }
+}
+
 /// The mobility side of a scenario: train trajectory, cell layout and
 /// handoff footprint, driven by a [`ChannelProcess`].
 #[derive(Debug, Clone, PartialEq)]
@@ -136,6 +168,20 @@ pub struct MobilityScenario {
     pub layout: CellLayout,
     /// Transport-layer handoff footprint.
     pub handoff: HandoffParams,
+}
+
+impl MobilityScenario {
+    /// Registers the [`ChannelProcess`] that drives this scenario's
+    /// handoffs and outages on one path.
+    pub(crate) fn attach(&self, eng: &mut Engine, down: LinkId, up: LinkId) -> AgentId {
+        eng.add_agent(Box::new(ChannelProcess::new(
+            down,
+            up,
+            self.trajectory,
+            self.layout.clone(),
+            self.handoff,
+        )))
+    }
 }
 
 /// Everything needed to run one flow.
@@ -161,6 +207,47 @@ pub struct ConnectionConfig {
     /// injector agent, so the built world is bit-identical to a storm-free
     /// one. Only [`try_run_connection_with`] applies it.
     pub storm: StormPlan,
+}
+
+impl ConnectionConfig {
+    /// The trace meta every flow run under this config records.
+    fn meta(&self) -> FlowMeta {
+        FlowMeta {
+            provider: self.provider.clone(),
+            scenario: self.scenario.clone(),
+            w_m: self.sender.w_m,
+            b: self.receiver.b,
+            mss_bytes: self.mss_bytes,
+        }
+    }
+
+    /// Registers a sender for `flow`; its data link is wired by
+    /// [`connect`] once the links exist.
+    pub(crate) fn add_sender(&self, eng: &mut Engine, flow: u32) -> AgentId {
+        let placeholder = LinkId::from_raw(u32::MAX);
+        eng.add_agent(Box::new(RenoSender::new(
+            FlowId(flow),
+            placeholder,
+            self.sender,
+        )))
+    }
+
+    /// Registers a receiver for `flow`; its uplink is wired by
+    /// [`connect`] once the links exist.
+    pub(crate) fn add_receiver(&self, eng: &mut Engine, flow: u32) -> AgentId {
+        let placeholder = LinkId::from_raw(u32::MAX);
+        eng.add_agent(Box::new(Receiver::new(
+            FlowId(flow),
+            placeholder,
+            self.receiver,
+        )))
+    }
+}
+
+/// Points sender `tx` at data link `down` and receiver `rx` at `up`.
+pub(crate) fn connect(eng: &mut Engine, tx: AgentId, rx: AgentId, down: LinkId, up: LinkId) {
+    eng.agent_mut::<RenoSender>(tx).expect("sender").data_link = down;
+    eng.agent_mut::<Receiver>(rx).expect("receiver").uplink = up;
 }
 
 impl Default for ConnectionConfig {
@@ -207,12 +294,13 @@ pub struct ConnectionOutcome {
 /// `ConnectionScratch` across a campaign stops allocating once it has seen
 /// its largest flow. Results are bit-identical to fresh-engine runs
 /// (`Engine::reset` re-derives every random stream from the new seed).
+/// Every TCP runner — [`try_run_connection_with`] and the
+/// [`mptcp`](crate::mptcp) runners — builds its world in a scratch.
 ///
 /// The capture uses the struct-of-arrays path: the engine's packet arena
 /// already stores every sent packet column-wise, so the only observer is a
 /// compact [`DeliveryLog`] ((id, time) per arrival) and the trace is folded
-/// straight from `arena + log` by
-/// [`trace_from_arena_with`](hsm_trace::capture::trace_from_arena_with).
+/// straight from `arena + log` by [`trace_from_arena_with`].
 #[derive(Debug)]
 pub struct ConnectionScratch {
     engine: Engine,
@@ -266,18 +354,77 @@ impl ConnectionScratch {
         // next reset.
         let _ = eng.try_run_until(SimTime::ZERO + SimDuration::from_micros(10));
         // Dirty the capture slab by folding the junk run through it.
-        let meta = FlowMeta {
-            provider: "chaos".to_owned(),
-            scenario: "poison".to_owned(),
-            w_m: 1,
-            b: 1,
-            mss_bytes: 1,
-        };
+        let _ = self.trace(u32::MAX, &ConnectionConfig::default(), &[]);
+    }
+
+    /// Resets the engine under `seed` and registers the delivery log: the
+    /// first step of every run built in this scratch.
+    pub(crate) fn start(&mut self, seed: u64) -> &mut Engine {
+        self.engine.reset(seed);
+        self.deliveries.clear();
+        self.engine.add_delivery_log(self.deliveries.clone());
+        &mut self.engine
+    }
+
+    /// Folds the finished run's capture of `flow`, leaving out rows sent
+    /// on `skip_links`; `None` if the flow sent nothing.
+    pub(crate) fn trace(
+        &mut self,
+        flow: u32,
+        cfg: &ConnectionConfig,
+        skip_links: &[LinkId],
+    ) -> Option<FlowTrace> {
         let capture = &mut self.capture;
-        let arena = eng.arena();
-        let _ = self.deliveries.with_deliveries(|deliveries| {
-            trace_from_arena_with(capture, arena, deliveries, u32::MAX, meta)
-        });
+        let arena = self.engine.arena();
+        self.deliveries.with_deliveries(|deliveries| {
+            trace_from_arena_with(capture, arena, deliveries, flow, cfg.meta(), skip_links)
+        })
+    }
+
+    /// Sender-internal ground truth of agent `tx`.
+    pub(crate) fn sender(&mut self, tx: AgentId) -> SenderMetrics {
+        let sender = self.engine.agent_mut::<RenoSender>(tx).expect("sender");
+        sender.metrics.clone()
+    }
+
+    /// Receiver-internal ground truth of agent `rx`.
+    pub(crate) fn receiver(&mut self, rx: AgentId) -> ReceiverMetrics {
+        self.engine
+            .agent_mut::<Receiver>(rx)
+            .expect("receiver")
+            .metrics
+    }
+
+    /// Handoff statistics of channel-process agent `id`.
+    pub(crate) fn channel(&mut self, id: AgentId) -> ChannelStats {
+        let channel = self
+            .engine
+            .agent_mut::<ChannelProcess>(id)
+            .expect("channel");
+        channel.stats
+    }
+
+    /// Harvests a finished single-flow run: the capture of `cfg.flow`
+    /// plus the endpoint, channel and engine telemetry.
+    pub(crate) fn outcome(
+        &mut self,
+        cfg: &ConnectionConfig,
+        tx: AgentId,
+        rx: AgentId,
+        channel: Option<AgentId>,
+    ) -> ConnectionOutcome {
+        let trace = self
+            .trace(cfg.flow, cfg, &[])
+            .unwrap_or_else(|| FlowTrace::new(cfg.flow, cfg.meta()));
+        ConnectionOutcome {
+            trace,
+            sender: self.sender(tx),
+            receiver: self.receiver(rx),
+            channel: channel.map(|id| self.channel(id)),
+            finished_at: self.engine.now(),
+            events_processed: self.engine.events_processed(),
+            queue: self.engine.queue_stats(),
+        }
     }
 }
 
@@ -301,92 +448,20 @@ pub fn try_run_connection_with(
     mobility: Option<&MobilityScenario>,
     cfg: &ConnectionConfig,
 ) -> Result<ConnectionOutcome, SimError> {
-    scratch.engine.reset(seed);
-    scratch.deliveries.clear();
-    let eng = &mut scratch.engine;
-    let placeholder = LinkId::from_raw(u32::MAX);
-    let tx = eng.add_agent(Box::new(RenoSender::new(
-        FlowId(cfg.flow),
-        placeholder,
-        cfg.sender,
-    )));
-    let rx = eng.add_agent(Box::new(Receiver::new(
-        FlowId(cfg.flow),
-        placeholder,
-        cfg.receiver,
-    )));
-    let down = eng.add_link(
-        LinkSpec::new(rx, "downlink")
-            .bandwidth_bps(path.down_bandwidth_bps)
-            .prop_delay(path.down_delay)
-            .jitter_sd(path.jitter_sd)
-            .queue_capacity(path.queue_capacity)
-            .loss(path.down_loss.build()),
-    );
-    let up = eng.add_link(
-        LinkSpec::new(tx, "uplink")
-            .bandwidth_bps(path.up_bandwidth_bps)
-            .prop_delay(path.up_delay)
-            .jitter_sd(path.jitter_sd)
-            .queue_capacity(path.queue_capacity)
-            .loss(path.up_loss.build()),
-    );
-    eng.agent_mut::<RenoSender>(tx).expect("sender").data_link = down;
-    eng.agent_mut::<Receiver>(rx).expect("receiver").uplink = up;
-
-    let channel_agent = mobility.map(|m| {
-        eng.add_agent(Box::new(ChannelProcess::new(
-            down,
-            up,
-            m.trajectory,
-            m.layout.clone(),
-            m.handoff,
-        )))
-    });
+    let eng = scratch.start(seed);
+    let tx = cfg.add_sender(eng, cfg.flow);
+    let rx = cfg.add_receiver(eng, cfg.flow);
+    let (down, up) = path.add_links(eng, rx, tx, "");
+    connect(eng, tx, rx, down, up);
+    let channel = mobility.map(|m| m.attach(eng, down, up));
     // The storm rides the uplink: delayed/lost ACK bursts are the §V
     // impairment under study. An empty plan adds no agent, so calm runs
     // build exactly the storm-free world.
     if !cfg.storm.episodes.is_empty() {
         eng.add_agent(Box::new(StormInjector::new(up, cfg.storm.clone())));
     }
-
-    eng.add_delivery_log(scratch.deliveries.clone());
     eng.try_run_until(cfg.deadline)?;
-
-    let meta = FlowMeta {
-        provider: cfg.provider.clone(),
-        scenario: cfg.scenario.clone(),
-        w_m: cfg.sender.w_m,
-        b: cfg.receiver.b,
-        mss_bytes: cfg.mss_bytes,
-    };
-    // Fold the capture straight from the engine's packet arena plus the
-    // compact delivery log (no per-event packet clones anywhere).
-    let capture = &mut scratch.capture;
-    let arena = eng.arena();
-    let trace = scratch
-        .deliveries
-        .with_deliveries(|deliveries| {
-            trace_from_arena_with(capture, arena, deliveries, cfg.flow, meta.clone())
-        })
-        .unwrap_or_else(|| FlowTrace::new(cfg.flow, meta));
-    let sender = eng
-        .agent_mut::<RenoSender>(tx)
-        .expect("sender")
-        .metrics
-        .clone();
-    let receiver = eng.agent_mut::<Receiver>(rx).expect("receiver").metrics;
-    let channel =
-        channel_agent.map(|id| eng.agent_mut::<ChannelProcess>(id).expect("channel").stats);
-    Ok(ConnectionOutcome {
-        trace,
-        sender,
-        receiver,
-        channel,
-        finished_at: eng.now(),
-        events_processed: eng.events_processed(),
-        queue: eng.queue_stats(),
-    })
+    Ok(scratch.outcome(cfg, tx, rx, channel))
 }
 
 #[cfg(test)]

@@ -4,8 +4,9 @@
 //! one radio, one bottleneck. To model that, several connections share a
 //! single radio link whose exit point is a [`Demux`] agent forwarding each
 //! packet to its flow's endpoint over a zero-delay `internal.*` link.
-//! Trace capture ignores those auxiliary hops
-//! (see [`traces_from_events_filtered`](hsm_trace::capture::traces_from_events_filtered)).
+//! Trace capture leaves those auxiliary hops out by link id (the
+//! `skip_links` of
+//! [`trace_from_arena_with`](hsm_trace::capture::trace_from_arena_with)).
 
 use hsm_simnet::engine::Ctx;
 use hsm_simnet::link::LinkId;

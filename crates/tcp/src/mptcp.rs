@@ -14,21 +14,26 @@
 //!   `q·q₂`; this is the `backup_link` option of
 //!   [`RenoSender`] type, exercised by
 //!   [`run_with_backup_path`].
+//!
+//! Every runner builds its world in a caller-held [`ConnectionScratch`]
+//! with the same wiring as
+//! [`try_run_connection_with`](crate::connection::try_run_connection_with)
+//! and captures each subflow through the same arena fold.
 
-use crate::connection::{ConnectionConfig, MobilityScenario, PathSpec};
+use crate::connection::{
+    connect, ConnectionConfig, ConnectionOutcome, ConnectionScratch, MobilityScenario, PathSpec,
+};
 use crate::demux::Demux;
 use crate::metrics::{ReceiverMetrics, SenderMetrics};
 use crate::receiver::Receiver;
 use crate::reno::RenoSender;
-use hsm_simnet::cellular::{ChannelProcess, ChannelStats};
+use hsm_simnet::agent::AgentId;
+use hsm_simnet::cellular::ChannelStats;
 use hsm_simnet::error::SimError;
 use hsm_simnet::link::{LinkId, LinkSpec};
-use hsm_simnet::observer::VecRecorder;
-use hsm_simnet::packet::FlowId;
 use hsm_simnet::prelude::Engine;
 use hsm_simnet::time::SimDuration;
-use hsm_trace::capture::{traces_from_events, traces_from_events_filtered};
-use hsm_trace::record::{FlowMeta, FlowTrace};
+use hsm_trace::record::FlowTrace;
 
 /// Outcome of a duplex-mode MPTCP run: one trace per subflow.
 #[derive(Debug, Clone)]
@@ -62,32 +67,42 @@ impl MptcpOutcome {
             .sum();
         delivered as f64 / duration
     }
+
+    /// Harvests a finished two-subflow run: one capture per subflow that
+    /// sent anything (leaving out rows sent on `skip_links`), plus the
+    /// endpoint and channel metrics in registration order.
+    fn harvest(
+        scratch: &mut ConnectionScratch,
+        cfg: &ConnectionConfig,
+        endpoints: &[(AgentId, AgentId); 2],
+        channels: &[AgentId],
+        skip_links: &[LinkId],
+    ) -> MptcpOutcome {
+        MptcpOutcome {
+            subflows: (0..2)
+                .filter_map(|i| scratch.trace(cfg.flow + i, cfg, skip_links))
+                .collect(),
+            senders: endpoints
+                .iter()
+                .map(|&(tx, _)| scratch.sender(tx))
+                .collect(),
+            receivers: endpoints
+                .iter()
+                .map(|&(_, rx)| scratch.receiver(rx))
+                .collect(),
+            channels: channels.iter().map(|&c| scratch.channel(c)).collect(),
+        }
+    }
 }
 
-fn build_path(
-    eng: &mut Engine,
-    path: &PathSpec,
-    rx: hsm_simnet::agent::AgentId,
-    tx: hsm_simnet::agent::AgentId,
-    tag: &str,
-) -> (LinkId, LinkId) {
-    let down = eng.add_link(
-        LinkSpec::new(rx, format!("downlink.{tag}"))
-            .bandwidth_bps(path.down_bandwidth_bps)
-            .prop_delay(path.down_delay)
-            .jitter_sd(path.jitter_sd)
-            .queue_capacity(path.queue_capacity)
-            .loss(path.down_loss.build()),
-    );
-    let up = eng.add_link(
-        LinkSpec::new(tx, format!("uplink.{tag}"))
-            .bandwidth_bps(path.up_bandwidth_bps)
-            .prop_delay(path.up_delay)
-            .jitter_sd(path.jitter_sd)
-            .queue_capacity(path.queue_capacity)
-            .loss(path.up_loss.build()),
-    );
-    (down, up)
+/// Wires subflow sender `tx` and receiver `rx` to their links. One sender
+/// stopping must not truncate its sibling subflow, so neither halts the
+/// engine on stop.
+fn connect_subflow(eng: &mut Engine, tx: AgentId, rx: AgentId, down: LinkId, up: LinkId) {
+    connect(eng, tx, rx, down, up);
+    eng.agent_mut::<RenoSender>(tx)
+        .expect("sender")
+        .halt_engine_on_stop = false;
 }
 
 /// Runs two independent subflows over two disjoint paths and reports the
@@ -101,75 +116,31 @@ fn build_path(
 ///
 /// Returns the [`SimError`] reported by [`Engine::try_run_until`].
 pub fn run_mptcp_duplex(
+    scratch: &mut ConnectionScratch,
     seed: u64,
     paths: [&PathSpec; 2],
     mobility: Option<&MobilityScenario>,
     cfg: &ConnectionConfig,
 ) -> Result<MptcpOutcome, SimError> {
-    let mut eng = Engine::new(seed);
-    let placeholder = LinkId::from_raw(u32::MAX);
-    let mut txs = Vec::new();
-    let mut rxs = Vec::new();
-    let mut chans = Vec::new();
-    for (i, path) in paths.iter().enumerate() {
-        let flow = FlowId(cfg.flow + i as u32);
-        let tx = eng.add_agent(Box::new(RenoSender::new(flow, placeholder, cfg.sender)));
-        let rx = eng.add_agent(Box::new(Receiver::new(flow, placeholder, cfg.receiver)));
-        let (down, up) = build_path(&mut eng, path, rx, tx, &format!("sub{i}"));
-        {
-            let sender = eng.agent_mut::<RenoSender>(tx).expect("sender");
-            sender.data_link = down;
-            // One sender stopping must not truncate its sibling subflow.
-            sender.halt_engine_on_stop = false;
-        }
-        eng.agent_mut::<Receiver>(rx).expect("receiver").uplink = up;
-        if let Some(m) = mobility {
-            chans.push(eng.add_agent(Box::new(ChannelProcess::new(
-                down,
-                up,
-                m.trajectory,
-                m.layout.clone(),
-                m.handoff,
-            ))));
-        }
-        txs.push(tx);
-        rxs.push(rx);
-    }
-    let recorder = VecRecorder::new();
-    eng.add_recorder(recorder.clone());
+    let eng = scratch.start(seed);
+    let mut channels = Vec::new();
+    let endpoints: [(AgentId, AgentId); 2] = std::array::from_fn(|i| {
+        let flow = cfg.flow + i as u32;
+        let tx = cfg.add_sender(eng, flow);
+        let rx = cfg.add_receiver(eng, flow);
+        let (down, up) = paths[i].add_links(eng, rx, tx, &format!(".sub{i}"));
+        connect_subflow(eng, tx, rx, down, up);
+        channels.extend(mobility.map(|m| m.attach(eng, down, up)));
+        (tx, rx)
+    });
     eng.try_run_until(cfg.deadline)?;
-
-    let base_meta = FlowMeta {
-        provider: cfg.provider.clone(),
-        scenario: cfg.scenario.clone(),
-        w_m: cfg.sender.w_m,
-        b: cfg.receiver.b,
-        mss_bytes: cfg.mss_bytes,
-    };
-    let subflows = traces_from_events(&recorder.take_events(), |_| base_meta.clone());
-    let senders = txs
-        .iter()
-        .map(|&t| {
-            eng.agent_mut::<RenoSender>(t)
-                .expect("sender")
-                .metrics
-                .clone()
-        })
-        .collect();
-    let receivers = rxs
-        .iter()
-        .map(|&r| eng.agent_mut::<Receiver>(r).expect("receiver").metrics)
-        .collect();
-    let channels = chans
-        .iter()
-        .map(|&c| eng.agent_mut::<ChannelProcess>(c).expect("channel").stats)
-        .collect();
-    Ok(MptcpOutcome {
-        subflows,
-        senders,
-        receivers,
-        channels,
-    })
+    Ok(MptcpOutcome::harvest(
+        scratch,
+        cfg,
+        &endpoints,
+        &channels,
+        &[],
+    ))
 }
 
 /// Runs a single flow whose timeout retransmissions are duplicated over a
@@ -182,76 +153,37 @@ pub fn run_mptcp_duplex(
 ///
 /// Returns the [`SimError`] reported by [`Engine::try_run_until`].
 pub fn run_with_backup_path(
+    scratch: &mut ConnectionScratch,
     seed: u64,
     primary: &PathSpec,
     backup: &PathSpec,
     mobility: Option<&MobilityScenario>,
     cfg: &ConnectionConfig,
-) -> Result<crate::connection::ConnectionOutcome, SimError> {
-    let mut eng = Engine::new(seed);
-    let placeholder = LinkId::from_raw(u32::MAX);
-    let flow = FlowId(cfg.flow);
-    let tx = eng.add_agent(Box::new(RenoSender::new(flow, placeholder, cfg.sender)));
-    let rx = eng.add_agent(Box::new(Receiver::new(flow, placeholder, cfg.receiver)));
-    let (down, up) = build_path(&mut eng, primary, rx, tx, "primary");
-    let (backup_down, backup_up) = build_path(&mut eng, backup, rx, tx, "backup");
-    {
-        let sender = eng.agent_mut::<RenoSender>(tx).expect("sender");
-        sender.data_link = down;
-        sender.backup_link = Some(backup_down);
-    }
-    {
-        let receiver = eng.agent_mut::<Receiver>(rx).expect("receiver");
-        receiver.uplink = up;
-        // Recovery-phase ACKs are mirrored over the backup carrier: the
-        // redundant exchange must survive whenever *either* path works.
-        receiver.backup_uplink = Some(backup_up);
-    }
+) -> Result<ConnectionOutcome, SimError> {
+    let eng = scratch.start(seed);
+    let tx = cfg.add_sender(eng, cfg.flow);
+    let rx = cfg.add_receiver(eng, cfg.flow);
+    let (down, up) = primary.add_links(eng, rx, tx, ".primary");
+    let (backup_down, backup_up) = backup.add_links(eng, rx, tx, ".backup");
+    connect(eng, tx, rx, down, up);
+    eng.agent_mut::<RenoSender>(tx).expect("sender").backup_link = Some(backup_down);
+    // Recovery-phase ACKs are mirrored over the backup carrier: the
+    // redundant exchange must survive whenever *either* path works.
+    eng.agent_mut::<Receiver>(rx)
+        .expect("receiver")
+        .backup_uplink = Some(backup_up);
     // Mobility impairs only the primary path; the backup is assumed to be
     // a different carrier, modelled by its own PathSpec losses.
-    let chan = mobility.map(|m| {
-        eng.add_agent(Box::new(ChannelProcess::new(
-            down,
-            up,
-            m.trajectory,
-            m.layout.clone(),
-            m.handoff,
-        )))
-    });
-    let recorder = VecRecorder::new();
-    eng.add_recorder(recorder.clone());
+    let channel = mobility.map(|m| m.attach(eng, down, up));
     eng.try_run_until(cfg.deadline)?;
-
-    let meta = FlowMeta {
-        provider: cfg.provider.clone(),
-        scenario: cfg.scenario.clone(),
-        w_m: cfg.sender.w_m,
-        b: cfg.receiver.b,
-        mss_bytes: cfg.mss_bytes,
-    };
-    let trace =
-        hsm_trace::capture::single_flow_trace(&recorder.take_events(), cfg.flow, meta.clone())
-            .unwrap_or_else(|| FlowTrace::new(cfg.flow, meta));
-    Ok(crate::connection::ConnectionOutcome {
-        trace,
-        sender: eng
-            .agent_mut::<RenoSender>(tx)
-            .expect("sender")
-            .metrics
-            .clone(),
-        receiver: eng.agent_mut::<Receiver>(rx).expect("receiver").metrics,
-        channel: chan.map(|c| eng.agent_mut::<ChannelProcess>(c).expect("channel").stats),
-        finished_at: eng.now(),
-        events_processed: eng.events_processed(),
-        queue: eng.queue_stats(),
-    })
+    Ok(scratch.outcome(cfg, tx, rx, channel))
 }
 
 /// Runs two subflows through **one shared radio** (the single-handset
 /// reality of the paper's measurements): both senders transmit over the
 /// same downlink and both receivers acknowledge over the same uplink, with
 /// [`Demux`] agents fanning packets out to their flow's endpoint over
-/// zero-delay `internal.*` links (excluded from the captured traces).
+/// zero-delay `internal.*` links (left out of the captured traces).
 ///
 /// Against a disjoint-path duplex run, this isolates how much of the
 /// MPTCP gain comes from *extra capacity* versus from *filling the dead
@@ -261,55 +193,19 @@ pub fn run_with_backup_path(
 ///
 /// Returns the [`SimError`] reported by [`Engine::try_run_until`].
 pub fn run_mptcp_shared_radio(
+    scratch: &mut ConnectionScratch,
     seed: u64,
     path: &PathSpec,
     mobility: Option<&MobilityScenario>,
     cfg: &ConnectionConfig,
 ) -> Result<MptcpOutcome, SimError> {
-    let mut eng = Engine::new(seed);
-    let placeholder = LinkId::from_raw(u32::MAX);
+    let eng = scratch.start(seed);
     let flows = [cfg.flow, cfg.flow + 1];
-    let txs: Vec<_> = flows
-        .iter()
-        .map(|&f| {
-            eng.add_agent(Box::new(RenoSender::new(
-                FlowId(f),
-                placeholder,
-                cfg.sender,
-            )))
-        })
-        .collect();
-    let rxs: Vec<_> = flows
-        .iter()
-        .map(|&f| {
-            eng.add_agent(Box::new(Receiver::new(
-                FlowId(f),
-                placeholder,
-                cfg.receiver,
-            )))
-        })
-        .collect();
+    let txs = flows.map(|f| cfg.add_sender(eng, f));
+    let rxs = flows.map(|f| cfg.add_receiver(eng, f));
     let demux_down = eng.add_agent(Box::new(Demux::new()));
     let demux_up = eng.add_agent(Box::new(Demux::new()));
-    let (down, up) = {
-        let down = eng.add_link(
-            LinkSpec::new(demux_down, "downlink")
-                .bandwidth_bps(path.down_bandwidth_bps)
-                .prop_delay(path.down_delay)
-                .jitter_sd(path.jitter_sd)
-                .queue_capacity(path.queue_capacity)
-                .loss(path.down_loss.build()),
-        );
-        let up = eng.add_link(
-            LinkSpec::new(demux_up, "uplink")
-                .bandwidth_bps(path.up_bandwidth_bps)
-                .prop_delay(path.up_delay)
-                .jitter_sd(path.jitter_sd)
-                .queue_capacity(path.queue_capacity)
-                .loss(path.up_loss.build()),
-        );
-        (down, up)
-    };
+    let (down, up) = path.add_links(eng, demux_down, demux_up, "");
     let internal = |eng: &mut Engine, to, tag: String| {
         eng.add_link(
             LinkSpec::new(to, tag)
@@ -318,66 +214,29 @@ pub fn run_mptcp_shared_radio(
                 .queue_capacity(4_096),
         )
     };
+    let mut internal_links = Vec::with_capacity(4);
     for (i, (&tx, &rx)) in txs.iter().zip(&rxs).enumerate() {
-        let to_rx = internal(&mut eng, rx, format!("internal.rx{i}"));
-        let to_tx = internal(&mut eng, tx, format!("internal.tx{i}"));
+        let to_rx = internal(eng, rx, format!("internal.rx{i}"));
+        let to_tx = internal(eng, tx, format!("internal.tx{i}"));
+        internal_links.extend([to_rx, to_tx]);
         eng.agent_mut::<Demux>(demux_down)
             .expect("demux")
             .add_route(flows[i], to_rx);
         eng.agent_mut::<Demux>(demux_up)
             .expect("demux")
             .add_route(flows[i], to_tx);
-        {
-            let sender = eng.agent_mut::<RenoSender>(tx).expect("sender");
-            sender.data_link = down;
-            sender.halt_engine_on_stop = false;
-        }
-        eng.agent_mut::<Receiver>(rx).expect("receiver").uplink = up;
+        connect_subflow(eng, tx, rx, down, up);
     }
-    let chan = mobility.map(|m| {
-        eng.add_agent(Box::new(ChannelProcess::new(
-            down,
-            up,
-            m.trajectory,
-            m.layout.clone(),
-            m.handoff,
-        )))
-    });
-    let recorder = VecRecorder::new();
-    eng.add_recorder(recorder.clone());
+    let channel = mobility.map(|m| m.attach(eng, down, up));
     eng.try_run_until(cfg.deadline)?;
-
-    let base_meta = FlowMeta {
-        provider: cfg.provider.clone(),
-        scenario: cfg.scenario.clone(),
-        w_m: cfg.sender.w_m,
-        b: cfg.receiver.b,
-        mss_bytes: cfg.mss_bytes,
-    };
-    let subflows = traces_from_events_filtered(
-        &recorder.take_events(),
-        |_| base_meta.clone(),
-        Some("internal"),
-    );
-    Ok(MptcpOutcome {
-        subflows,
-        senders: txs
-            .iter()
-            .map(|&t| {
-                eng.agent_mut::<RenoSender>(t)
-                    .expect("sender")
-                    .metrics
-                    .clone()
-            })
-            .collect(),
-        receivers: rxs
-            .iter()
-            .map(|&r| eng.agent_mut::<Receiver>(r).expect("receiver").metrics)
-            .collect(),
-        channels: chan
-            .map(|c| vec![eng.agent_mut::<ChannelProcess>(c).expect("channel").stats])
-            .unwrap_or_default(),
-    })
+    let endpoints = [(txs[0], rxs[0]), (txs[1], rxs[1])];
+    Ok(MptcpOutcome::harvest(
+        scratch,
+        cfg,
+        &endpoints,
+        channel.as_slice(),
+        &internal_links,
+    ))
 }
 
 #[cfg(test)]
@@ -421,7 +280,8 @@ mod tests {
         let cfg = timed_cfg(30);
         let p1 = lossy_path();
         let p2 = PathSpec::default();
-        let out = run_mptcp_duplex(5, [&p1, &p2], None, &cfg).unwrap();
+        let out =
+            run_mptcp_duplex(&mut ConnectionScratch::new(), 5, [&p1, &p2], None, &cfg).unwrap();
         assert_eq!(out.subflows.len(), 2);
         assert_eq!(out.senders.len(), 2);
         assert!(out.aggregate_throughput_sps() > 0.0);
@@ -440,7 +300,8 @@ mod tests {
             let a = hsm_trace::summary::analyze_flow(&single.trace, &Default::default());
             a.summary.throughput_sps
         };
-        let duplex = run_mptcp_duplex(9, [&p, &p], None, &cfg).unwrap();
+        let duplex =
+            run_mptcp_duplex(&mut ConnectionScratch::new(), 9, [&p, &p], None, &cfg).unwrap();
         let agg = duplex.aggregate_throughput_sps();
         assert!(
             agg > single_tp,
@@ -452,7 +313,8 @@ mod tests {
     fn shared_radio_runs_both_subflows_through_one_pipe() {
         let cfg = timed_cfg(30);
         let path = PathSpec::default();
-        let out = run_mptcp_shared_radio(3, &path, None, &cfg).unwrap();
+        let out =
+            run_mptcp_shared_radio(&mut ConnectionScratch::new(), 3, &path, None, &cfg).unwrap();
         assert_eq!(out.subflows.len(), 2);
         for (i, t) in out.subflows.iter().enumerate() {
             assert!(
@@ -490,7 +352,8 @@ mod tests {
         let single_tp = hsm_trace::summary::analyze_flow(&single.trace, &Default::default())
             .summary
             .throughput_sps;
-        let shared = run_mptcp_shared_radio(4, &path, None, &cfg).unwrap();
+        let shared =
+            run_mptcp_shared_radio(&mut ConnectionScratch::new(), 4, &path, None, &cfg).unwrap();
         let agg = shared.aggregate_throughput_sps();
         assert!(
             agg < single_tp * 1.5,
@@ -512,7 +375,9 @@ mod tests {
         let clean = PathSpec::default();
         let without =
             try_run_connection_with(&mut ConnectionScratch::new(), 11, &bad, None, &cfg).unwrap();
-        let with = run_with_backup_path(11, &bad, &clean, None, &cfg).unwrap();
+        let with =
+            run_with_backup_path(&mut ConnectionScratch::new(), 11, &bad, &clean, None, &cfg)
+                .unwrap();
         assert!(
             with.receiver.next_expected >= without.receiver.next_expected,
             "backup {} vs plain {}",

@@ -265,7 +265,7 @@ mod tests {
         let downlink =
             eng.add_link(LinkSpec::new(rx, "downlink").prop_delay(SimDuration::from_millis(5)));
         let rec = VecRecorder::new();
-        eng.add_recorder(rec.clone());
+        eng.add_observer(Box::new(rec.clone()));
         Harness {
             eng,
             rx,

@@ -583,7 +583,7 @@ mod tests {
         eng.agent_mut::<RenoSender>(tx).unwrap().data_link = down;
         eng.agent_mut::<Receiver>(rx).unwrap().uplink = up;
         let rec = VecRecorder::new();
-        eng.add_recorder(rec.clone());
+        eng.add_observer(Box::new(rec.clone()));
         World {
             eng,
             tx,

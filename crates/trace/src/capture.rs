@@ -1,106 +1,45 @@
-//! Building [`FlowTrace`]s from simulator packet events.
+//! Building [`FlowTrace`]s from a simulator run.
 //!
-//! The simulator's [`Observer`](hsm_simnet::observer::Observer) hooks are
-//! the equivalent of endpoint packet captures; this module folds the raw
-//! event stream into per-flow [`FlowTrace`]s by matching each packet's
-//! `Sent` event with its terminal `Delivered`/`Dropped` event.
+//! A capture is the equivalent of wireshark on both endpoints: every
+//! packet's send and its delivery (or not). Every simulated flow is folded
+//! by [`trace_from_arena_with`] from the engine's packet arena, which
+//! already holds every `Sent`-side fact, plus a compact delivery log.
+//! [`traces_from_events`] folds a raw [`PacketEvent`] stream instead; it
+//! is the reference the arena fold is tested against.
 
 use crate::record::{FlowMeta, FlowTrace, PacketRecord};
 use hsm_simnet::arena::PacketArena;
+use hsm_simnet::link::LinkId;
 use hsm_simnet::observer::{PacketEvent, PacketEventKind};
 use hsm_simnet::packet::{PacketId, PacketKind};
 use hsm_simnet::time::SimTime;
 use std::collections::HashMap;
 
-/// Folds a raw event stream into one trace per flow.
+/// Folds a raw event stream into one trace per flow, sorted by flow id.
 ///
-/// `meta_for` supplies the [`FlowMeta`] for each flow id encountered.
-/// Packets with a `Sent` event but no terminal event by the end of the
-/// stream (still in flight when the simulation stopped) are treated as
-/// lost, which matches how a finite capture is analyzed.
+/// Each packet's `Sent` event is matched with its terminal
+/// `Delivered`/`Dropped` event. `meta_for` supplies the [`FlowMeta`] for
+/// each flow id encountered. Packets with a `Sent` event but no terminal
+/// event by the end of the stream (still in flight when the simulation
+/// stopped) are treated as lost, which matches how a finite capture is
+/// analyzed.
 pub fn traces_from_events(
     events: &[PacketEvent],
-    meta_for: impl FnMut(u32) -> FlowMeta,
-) -> Vec<FlowTrace> {
-    traces_from_events_filtered(events, meta_for, None)
-}
-
-/// Reusable working memory for the capture fold.
-///
-/// The fold's dominant allocation is the pending-record slab (one `u64`
-/// per engine packet id). Holding a `CaptureScratch` across flows — as the
-/// campaign workers do — lets every capture after the first run
-/// allocation-free once the slab has grown to the largest flow seen.
-#[derive(Debug, Default)]
-pub struct CaptureScratch {
-    open: Vec<u64>,
-    /// Delivery-time slab for the arena fold (index == packet id).
-    arrived: Vec<Option<SimTime>>,
-}
-
-impl CaptureScratch {
-    /// Creates an empty scratch.
-    pub fn new() -> CaptureScratch {
-        CaptureScratch::default()
-    }
-}
-
-/// Like [`traces_from_events`], but ignores transmissions on links whose
-/// label starts with `ignore_prefix`.
-///
-/// Multi-hop wirings (e.g. the shared-radio MPTCP demux) use auxiliary
-/// zero-delay links labelled `internal.*`; their per-hop copies must not
-/// appear as extra packet records.
-pub fn traces_from_events_filtered(
-    events: &[PacketEvent],
-    meta_for: impl FnMut(u32) -> FlowMeta,
-    ignore_prefix: Option<&str>,
-) -> Vec<FlowTrace> {
-    traces_from_events_filtered_with(&mut CaptureScratch::new(), events, meta_for, ignore_prefix)
-}
-
-/// Like [`traces_from_events_filtered`], but folding through a caller-held
-/// [`CaptureScratch`] so the pending-record slab is reused across flows.
-pub fn traces_from_events_filtered_with(
-    scratch: &mut CaptureScratch,
-    events: &[PacketEvent],
     mut meta_for: impl FnMut(u32) -> FlowMeta,
-    ignore_prefix: Option<&str>,
 ) -> Vec<FlowTrace> {
-    // Engine-stamped packet ids are dense (a per-run counter), so the
-    // pending-record table is a slab indexed by packet id rather than a
-    // hash map — the fold does zero hashing per event in the single-flow
-    // case. Each slab entry packs (flow slot << 32 | record index);
-    // `OPEN_NONE` marks empty.
-    const OPEN_NONE: u64 = u64::MAX;
     let mut flows: Vec<FlowTrace> = Vec::new();
     let mut flow_slots: HashMap<u32, usize> = HashMap::new();
-    // One-entry cache: event streams are usually a single flow.
-    let mut last_slot: Option<(u32, usize)> = None;
-    // clear + resize (not resize alone): every entry must restart at
-    // OPEN_NONE, while the buffer keeps its capacity across flows.
-    scratch.open.clear();
-    let open: &mut Vec<u64> = &mut scratch.open;
-
+    // Open records by packet id: (flow slot, record index).
+    let mut open: HashMap<u64, (usize, usize)> = HashMap::new();
     for ev in events {
         let flow_id = ev.packet.flow.0;
-        let pkt_id = ev.packet.id.0 as usize;
+        let pkt_id = ev.packet.id.0;
         match ev.kind {
             PacketEventKind::Sent => {
-                if ignore_prefix.is_some_and(|p| ev.link_label.starts_with(p)) {
-                    continue;
-                }
-                let slot = match last_slot {
-                    Some((f, s)) if f == flow_id => s,
-                    _ => {
-                        let s = *flow_slots.entry(flow_id).or_insert_with(|| {
-                            flows.push(FlowTrace::new(flow_id, meta_for(flow_id)));
-                            flows.len() - 1
-                        });
-                        last_slot = Some((flow_id, s));
-                        s
-                    }
-                };
+                let slot = *flow_slots.entry(flow_id).or_insert_with(|| {
+                    flows.push(FlowTrace::new(flow_id, meta_for(flow_id)));
+                    flows.len() - 1
+                });
                 let trace = &mut flows[slot];
                 let (seq, is_ack, retransmit, acked_count) = match ev.packet.kind {
                     PacketKind::Data { seq, retransmit } => (seq.as_u64(), false, retransmit, 0),
@@ -109,7 +48,7 @@ pub fn traces_from_events_filtered_with(
                     }
                 };
                 trace.records.push(PacketRecord {
-                    id: ev.packet.id.0,
+                    id: pkt_id,
                     seq,
                     is_ack,
                     retransmit,
@@ -118,25 +57,16 @@ pub fn traces_from_events_filtered_with(
                     sent_at: ev.time,
                     arrived_at: None,
                 });
-                if open.len() <= pkt_id {
-                    open.resize(pkt_id + 1, OPEN_NONE);
-                }
-                open[pkt_id] = (slot as u64) << 32 | (trace.records.len() - 1) as u64;
+                open.insert(pkt_id, (slot, trace.records.len() - 1));
             }
             PacketEventKind::Delivered => {
-                if let Some(entry) = open.get_mut(pkt_id) {
-                    let packed = std::mem::replace(entry, OPEN_NONE);
-                    if packed != OPEN_NONE {
-                        let (slot, idx) = ((packed >> 32) as usize, packed as u32 as usize);
-                        flows[slot].records[idx].arrived_at = Some(ev.time);
-                    }
+                if let Some((slot, idx)) = open.remove(&pkt_id) {
+                    flows[slot].records[idx].arrived_at = Some(ev.time);
                 }
             }
             PacketEventKind::Dropped(_) => {
                 // Terminal: the record stays `arrived_at: None`.
-                if let Some(entry) = open.get_mut(pkt_id) {
-                    *entry = OPEN_NONE;
-                }
+                open.remove(&pkt_id);
             }
         }
     }
@@ -148,40 +78,50 @@ pub fn traces_from_events_filtered_with(
     flows
 }
 
-/// Builds a single-flow trace straight from the engine's packet arena
-/// plus a compact delivery log — the struct-of-arrays capture path.
+/// Reusable working memory for the arena fold.
 ///
-/// The arena's columns already hold every `Sent`-side fact (flow, kind,
-/// size, send time), and ids are minted in send order, so walking rows
-/// `0..len` filtered by the flow column reproduces the event fold's record
-/// order exactly. The delivery log supplies the only new information: a
-/// `(packet id, delivered-at)` pair per arrival, recorded by a
-/// [`DeliveryLog`](hsm_simnet::observer::DeliveryLog) observer. A row with
-/// no delivery entry was dropped or still in flight — both fold to
-/// `arrived_at: None`, exactly as [`traces_from_events`] treats them.
-///
-/// Produces bit-identical traces to running [`single_flow_trace`] over a
-/// full [`VecRecorder`](hsm_simnet::observer::VecRecorder) stream of the
-/// same run, at a fraction of the recording cost.
-///
-/// Returns `None` if the arena holds no packets for `flow`.
-pub fn trace_from_arena(
-    arena: &PacketArena,
-    deliveries: &[(PacketId, SimTime)],
-    flow: u32,
-    meta: FlowMeta,
-) -> Option<FlowTrace> {
-    trace_from_arena_with(&mut CaptureScratch::new(), arena, deliveries, flow, meta)
+/// The fold's dominant allocation is the delivery-time slab (one entry
+/// per engine packet id). Holding a `CaptureScratch` across flows — as the
+/// campaign workers do — lets every capture after the first run
+/// allocation-free once the slab has grown to the largest flow seen.
+#[derive(Debug, Default)]
+pub struct CaptureScratch {
+    /// Delivery-time slab for the arena fold (index == packet id).
+    arrived: Vec<Option<SimTime>>,
 }
 
-/// [`trace_from_arena`] through a caller-held [`CaptureScratch`], reusing
-/// its delivery-time slab across flows.
+impl CaptureScratch {
+    /// Creates an empty scratch.
+    pub fn new() -> CaptureScratch {
+        CaptureScratch::default()
+    }
+}
+
+/// Builds one flow's trace straight from the engine's packet arena plus a
+/// compact delivery log — the struct-of-arrays capture path.
+///
+/// The arena's columns already hold every `Sent`-side fact (flow, kind,
+/// size, send time, sending link), and ids are minted in send order, so
+/// walking rows `0..len` filtered by the flow column reproduces the event
+/// fold's record order exactly. The delivery log supplies the only new
+/// information: a `(packet id, delivered-at)` pair per arrival, recorded
+/// by a [`DeliveryLog`](hsm_simnet::observer::DeliveryLog) observer. A row
+/// with no delivery entry was dropped or still in flight — both fold to
+/// `arrived_at: None`, exactly as [`traces_from_events`] treats them.
+///
+/// Rows sent on a link in `skip_links` are left out: multi-hop wirings
+/// (the shared-radio MPTCP demux) forward each packet over an auxiliary
+/// link as a fresh packet, and those per-hop copies must not appear as
+/// extra records. Single-flow runs pass an empty slice.
+///
+/// Returns `None` if the arena holds no (unskipped) packets for `flow`.
 pub fn trace_from_arena_with(
     scratch: &mut CaptureScratch,
     arena: &PacketArena,
     deliveries: &[(PacketId, SimTime)],
     flow: u32,
     meta: FlowMeta,
+    skip_links: &[LinkId],
 ) -> Option<FlowTrace> {
     // Scatter deliveries into a dense id-indexed slab (clear + resize so
     // stale entries from a previous, larger capture cannot leak through).
@@ -199,9 +139,10 @@ pub fn trace_from_arena_with(
     let flows = arena.flows();
     let sizes = arena.sizes();
     let sent_ats = arena.sent_ats();
+    let links = arena.links();
     let mut trace = FlowTrace::new(flow, meta);
     for id in 0..arena.len() {
-        if flows[id] != flow {
+        if flows[id] != flow || (!skip_links.is_empty() && skip_links.contains(&links[id])) {
             continue;
         }
         let (seq, is_ack, retransmit, acked_count) = match arena.get(PacketId(id as u64)).kind {
@@ -226,25 +167,6 @@ pub fn trace_from_arena_with(
     Some(trace)
 }
 
-/// Convenience wrapper for the single-flow case.
-///
-/// Returns `None` if the event stream contains no packets for `flow`.
-pub fn single_flow_trace(events: &[PacketEvent], flow: u32, meta: FlowMeta) -> Option<FlowTrace> {
-    single_flow_trace_with(&mut CaptureScratch::new(), events, flow, meta)
-}
-
-/// [`single_flow_trace`] through a caller-held [`CaptureScratch`].
-pub fn single_flow_trace_with(
-    scratch: &mut CaptureScratch,
-    events: &[PacketEvent],
-    flow: u32,
-    meta: FlowMeta,
-) -> Option<FlowTrace> {
-    traces_from_events_filtered_with(scratch, events, |_| meta.clone(), None)
-        .into_iter()
-        .find(|t| t.flow == flow)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,6 +186,13 @@ mod tests {
             kind,
             packet: p,
         }
+    }
+
+    /// The event fold's trace for `flow`, if any.
+    fn event_trace(events: &[PacketEvent], flow: u32, meta: FlowMeta) -> Option<FlowTrace> {
+        traces_from_events(events, |_| meta.clone())
+            .into_iter()
+            .find(|t| t.flow == flow)
     }
 
     #[test]
@@ -296,57 +225,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn filtered_capture_ignores_internal_hops() {
-        let data = Packet::data(FlowId(0), SeqNo(0), false);
-        let mut internal = ev(PacketEventKind::Sent, 31, 2, 0, data.clone());
-        internal.link_label = "internal.0".into();
-        let mut internal_done = ev(PacketEventKind::Delivered, 32, 2, 0, data.clone());
-        internal_done.link_label = "?".into();
-        let events = vec![
-            ev(PacketEventKind::Sent, 0, 1, 0, data.clone()),
-            ev(PacketEventKind::Delivered, 30, 1, 0, data.clone()),
-            internal,
-            internal_done,
-        ];
-        let traces =
-            traces_from_events_filtered(&events, |_| FlowMeta::default(), Some("internal"));
-        assert_eq!(
-            traces[0].records.len(),
-            1,
-            "internal hop must not duplicate records"
-        );
-        // Without the filter the internal copy shows up.
-        let unfiltered = traces_from_events(&events, |_| FlowMeta::default());
-        assert_eq!(unfiltered[0].records.len(), 2);
-    }
-
-    #[test]
-    fn reused_scratch_matches_fresh_capture() {
-        // A dirty slab (entries left OPEN_NONE-free by a previous, larger
-        // capture) must not leak records into the next fold.
-        let mk = |id_base: u64, n: u64| -> Vec<PacketEvent> {
-            (0..n)
-                .flat_map(|i| {
-                    let p = Packet::data(FlowId(0), SeqNo(i), false);
-                    vec![
-                        ev(PacketEventKind::Sent, i, id_base + i, 0, p.clone()),
-                        ev(PacketEventKind::Delivered, i + 30, id_base + i, 0, p),
-                    ]
-                })
-                .collect()
-        };
-        let big = mk(0, 40);
-        let small = mk(0, 5);
-        let mut scratch = CaptureScratch::new();
-        // Prime the slab with the big capture, then refold the small one.
-        let _ = traces_from_events_filtered_with(&mut scratch, &big, |_| FlowMeta::default(), None);
-        let reused =
-            traces_from_events_filtered_with(&mut scratch, &small, |_| FlowMeta::default(), None);
-        let fresh = traces_from_events(&small, |_| FlowMeta::default());
-        assert_eq!(reused, fresh);
-        assert_eq!(reused[0].records.len(), 5);
-    }
+    /// The auxiliary link of [`mixed_fate_run`]: it carries a forwarded
+    /// copy of a flow-5 packet, like a shared-radio demux hop.
+    const HOP: u32 = 2;
 
     /// Builds the same tiny mixed-fate history twice: as an arena +
     /// delivery log, and as the equivalent full `PacketEvent` stream.
@@ -354,7 +235,7 @@ mod tests {
         let mut arena = PacketArena::new();
         let mut deliveries = Vec::new();
         let mut events = Vec::new();
-        // (flow, packet, sent_ms, delivered: Some(ms) / dropped: None-with-event / in-flight)
+        // (flow, link, packet, sent_ms, fate)
         enum Fate {
             Delivered(u64),
             Dropped(u64),
@@ -363,42 +244,56 @@ mod tests {
         let history = vec![
             (
                 5,
+                0,
                 Packet::data(FlowId(5), SeqNo(0), false),
                 0,
                 Fate::Delivered(30),
             ),
             (
                 9,
+                0,
                 Packet::data(FlowId(9), SeqNo(0), false),
                 1,
                 Fate::Delivered(28),
             ),
             (
                 5,
+                HOP,
+                Packet::data(FlowId(5), SeqNo(0), false),
+                30,
+                Fate::Delivered(31),
+            ),
+            (
+                5,
+                0,
                 Packet::data(FlowId(5), SeqNo(1), false),
                 2,
                 Fate::Dropped(3),
             ),
             (
                 5,
+                1,
                 Packet::ack(FlowId(5), SeqNo(1), 1),
                 31,
                 Fate::Delivered(45),
             ),
             (
                 5,
+                0,
                 Packet::data(FlowId(5), SeqNo(1), true),
                 50,
                 Fate::InFlight,
             ),
         ];
-        for (i, (flow, pkt, sent_ms, fate)) in history.into_iter().enumerate() {
+        for (i, (flow, link, pkt, sent_ms, fate)) in history.into_iter().enumerate() {
             let id = i as u64;
             let mut p = pkt;
             p.id = PacketId(id);
             p.sent_at = SimTime::from_millis(sent_ms);
-            assert_eq!(arena.push(&p), PacketId(id));
-            events.push(ev(PacketEventKind::Sent, sent_ms, id, flow, p.clone()));
+            assert_eq!(arena.push(&p, LinkId::from_raw(link)), PacketId(id));
+            let mut sent = ev(PacketEventKind::Sent, sent_ms, id, flow, p.clone());
+            sent.link = link;
+            events.push(sent);
             match fate {
                 Fate::Delivered(at_ms) => {
                     deliveries.push((PacketId(id), SimTime::from_millis(at_ms)));
@@ -430,20 +325,72 @@ mod tests {
     #[test]
     fn arena_fold_matches_event_fold_bit_for_bit() {
         let (arena, deliveries, events) = mixed_fate_run();
+        let mut scratch = CaptureScratch::new();
         for flow in [5u32, 9] {
             let meta = FlowMeta {
                 provider: format!("p{flow}"),
                 ..Default::default()
             };
-            let from_arena = trace_from_arena(&arena, &deliveries, flow, meta.clone());
-            let from_events = single_flow_trace(&events, flow, meta);
+            let from_arena =
+                trace_from_arena_with(&mut scratch, &arena, &deliveries, flow, meta.clone(), &[]);
+            let from_events = event_trace(&events, flow, meta);
             assert_eq!(from_arena, from_events, "flow {flow}");
             assert!(from_arena.is_some());
         }
         assert!(
-            trace_from_arena(&arena, &deliveries, 77, FlowMeta::default()).is_none(),
+            trace_from_arena_with(
+                &mut scratch,
+                &arena,
+                &deliveries,
+                77,
+                FlowMeta::default(),
+                &[]
+            )
+            .is_none(),
             "unknown flow folds to None, like the event path"
         );
+    }
+
+    #[test]
+    fn arena_fold_skipping_a_link_matches_the_event_fold_without_its_sends() {
+        let (arena, deliveries, events) = mixed_fate_run();
+        let without_hop: Vec<PacketEvent> = events
+            .iter()
+            .filter(|e| !(e.kind == PacketEventKind::Sent && e.link == HOP))
+            .cloned()
+            .collect();
+        assert_eq!(without_hop.len(), events.len() - 1);
+        let mut scratch = CaptureScratch::new();
+        for flow in [5u32, 9] {
+            let skipped = trace_from_arena_with(
+                &mut scratch,
+                &arena,
+                &deliveries,
+                flow,
+                FlowMeta::default(),
+                &[LinkId::from_raw(HOP)],
+            );
+            assert_eq!(
+                skipped,
+                event_trace(&without_hop, flow, FlowMeta::default()),
+                "flow {flow}"
+            );
+        }
+        // The skip is what removes the hop: unskipped, flow 5 has one
+        // record more.
+        let mut count = |skip: &[LinkId]| {
+            trace_from_arena_with(
+                &mut scratch,
+                &arena,
+                &deliveries,
+                5,
+                FlowMeta::default(),
+                skip,
+            )
+            .map(|t| t.records.len())
+        };
+        assert_eq!(count(&[]), Some(5));
+        assert_eq!(count(&[LinkId::from_raw(HOP)]), Some(4));
     }
 
     #[test]
@@ -455,16 +402,18 @@ mod tests {
             let mut p = Packet::data(FlowId(5), SeqNo(i), false);
             p.id = PacketId(i);
             p.sent_at = SimTime::from_millis(i);
-            big.push(&p);
+            big.push(&p, LinkId::from_raw(0));
         }
         let big_deliveries: Vec<_> = (0..64u64)
             .map(|i| (PacketId(i), SimTime::from_millis(i + 20)))
             .collect();
         let mut scratch = CaptureScratch::new();
-        let _ = trace_from_arena_with(&mut scratch, &big, &big_deliveries, 5, FlowMeta::default());
-        let reused =
-            trace_from_arena_with(&mut scratch, &arena, &deliveries, 5, FlowMeta::default());
-        let fresh = trace_from_arena(&arena, &deliveries, 5, FlowMeta::default());
+        let fold = |scratch: &mut CaptureScratch, arena: &PacketArena, deliveries: &[_]| {
+            trace_from_arena_with(scratch, arena, deliveries, 5, FlowMeta::default(), &[])
+        };
+        let _ = fold(&mut scratch, &big, &big_deliveries);
+        let reused = fold(&mut scratch, &arena, &deliveries);
+        let fresh = fold(&mut CaptureScratch::new(), &arena, &deliveries);
         assert_eq!(reused, fresh);
     }
 
@@ -501,7 +450,6 @@ mod tests {
         assert_eq!(traces[0].flow, 0);
         assert_eq!(traces[1].flow, 7);
         assert_eq!(traces[1].meta.provider, "p7");
-        assert!(single_flow_trace(&events, 7, FlowMeta::default()).is_some());
-        assert!(single_flow_trace(&events, 9, FlowMeta::default()).is_none());
+        assert!(event_trace(&events, 9, FlowMeta::default()).is_none());
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! This crate plays the role of the paper's measurement toolchain
 //! (wireshark captures + offline analysis): it defines the dual-endpoint
-//! [`record::FlowTrace`] format, builds traces from simulator events
+//! [`record::FlowTrace`] format, builds traces from simulator runs
 //! ([`capture`]), and implements every §III analysis:
 //!
 //! * lifetime data/ACK loss rates ([`analysis::loss`]),
@@ -52,10 +52,7 @@ pub mod prelude {
     pub use crate::analysis::timeout::{
         analyze_timeouts, TimeoutAnalysis, TimeoutConfig, TimeoutEvent, TimeoutSequence,
     };
-    pub use crate::capture::{
-        single_flow_trace, single_flow_trace_with, traces_from_events, traces_from_events_filtered,
-        traces_from_events_filtered_with, CaptureScratch,
-    };
+    pub use crate::capture::{trace_from_arena_with, traces_from_events, CaptureScratch};
     pub use crate::export::{fnum, fpct, Table};
     pub use crate::record::{FlowMeta, FlowTrace, PacketRecord};
     pub use crate::stats::{

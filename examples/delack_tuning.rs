@@ -16,7 +16,7 @@ fn main() -> Result<(), hsm::Error> {
         "{:>3}  {:>11}  {:>9}  {:>9}  {:>10}  {:>13}",
         "b", "TP (seg/s)", "timeouts", "spurious", "ACK loss", "mean P_a obs"
     );
-    let mut scratch = Scratch::new();
+    let mut scratch = ConnectionScratch::new();
     for b in [1u32, 2, 4] {
         let (mut tp, mut to, mut sp, mut pa, mut burst) = (0.0, 0u32, 0u32, 0.0, 0.0);
         let reps = 4;

@@ -38,8 +38,14 @@ fn main() -> Result<(), hsm::Error> {
     );
 
     // 2. MPTCP duplex mode: two subflows over disjoint carriers.
-    let duplex = run_mptcp_duplex(sc.seed, [&path, &path], mobility.as_ref(), &conn)
-        .map_err(ScenarioError::Engine)?;
+    let duplex = run_mptcp_duplex(
+        &mut scratch,
+        sc.seed,
+        [&path, &path],
+        mobility.as_ref(),
+        &conn,
+    )
+    .map_err(ScenarioError::Engine)?;
     let agg = duplex.aggregate_throughput_sps();
     println!(
         "MPTCP duplex:     {:7.1} seg/s   ({:+.1}% vs plain)",
@@ -50,6 +56,7 @@ fn main() -> Result<(), hsm::Error> {
     // 3. MPTCP backup mode: single subflow, but timeout retransmissions
     //    are duplicated over a clean backup path — attacking `q` directly.
     let backup = run_with_backup_path(
+        &mut scratch,
         sc.seed,
         &path,
         &PathSpec::default(),

@@ -18,7 +18,11 @@ fn main() -> Result<(), hsm::Error> {
         .seed(42)
         .duration(SimDuration::from_secs(40))
         .build()?;
-    let outcome = try_run_scenario_with(&mut Scratch::new(), &config, &StormPlan::default())?;
+    let outcome = try_run_scenario_with(
+        &mut ConnectionScratch::new(),
+        &config,
+        &StormPlan::default(),
+    )?;
     let s = outcome.summary();
 
     println!("— measured on the (synthetic) train —");

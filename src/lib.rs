@@ -27,11 +27,11 @@
 //! # Quickstart
 //!
 //! Configs are built with validating builders; single flows run through
-//! [`scenario::runner::try_run_scenario_with`] (a reusable [`Scratch`]
-//! and an optional uplink [`StormPlan`], empty for a calm run), anything
-//! bigger through a [`runtime::engine::Campaign`]:
+//! [`scenario::runner::try_run_scenario_with`] (a reusable
+//! [`ConnectionScratch`] and an optional uplink [`StormPlan`], empty for a
+//! calm run), anything bigger through a [`runtime::engine::Campaign`]:
 //!
-//! [`Scratch`]: scenario::runner::Scratch
+//! [`ConnectionScratch`]: tcp::connection::ConnectionScratch
 //! [`StormPlan`]: simnet::chaos::StormPlan
 //!
 //! ```
@@ -47,7 +47,7 @@
 //!     .build()?;
 //!
 //! // One flow, one summary.
-//! let outcome = try_run_scenario_with(&mut Scratch::new(), &config, &StormPlan::default())?;
+//! let outcome = try_run_scenario_with(&mut ConnectionScratch::new(), &config, &StormPlan::default())?;
 //! assert!(outcome.summary().rtt_s > 0.0);
 //!
 //! // The same flow as a (memoized, sharded) campaign of one.
@@ -95,12 +95,13 @@ pub mod prelude {
     pub use hsm_scenario::provider::Provider;
     pub use hsm_scenario::runner::{
         try_run_scenario_with, Motion, ScenarioConfig, ScenarioConfigBuilder, ScenarioError,
-        ScenarioOutcome, Scratch,
+        ScenarioOutcome,
     };
     pub use hsm_scenario::spec::{
         expansion_digest, load_spec, CampaignSpec, GridKind, ScenarioBase, ScenarioGrid, SpecError,
         SweepAxis,
     };
     pub use hsm_simnet::chaos::StormPlan;
+    pub use hsm_tcp::connection::ConnectionScratch;
     pub use hsm_trace::summary::{analyze_flow, FlowSummary};
 }

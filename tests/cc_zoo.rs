@@ -11,7 +11,7 @@
 // relative drift is detectable; the extra digits are the point.
 #![allow(clippy::excessive_precision)]
 
-use hsm::scenario::runner::{try_run_scenario_with, Motion, ScenarioConfig, Scratch};
+use hsm::scenario::runner::{try_run_scenario_with, Motion, ScenarioConfig};
 use hsm::simnet::chaos::StormPlan;
 use hsm::simnet::time::{SimDuration, SimTime};
 use hsm::tcp::cc::Algorithm;
@@ -168,14 +168,18 @@ fn every_controller_is_deterministic_across_workers_and_cache_tiers() {
 #[test]
 fn zoo_members_differ_end_to_end() {
     let reference = zoo_configs(Algorithm::Reno);
-    let reno = try_run_scenario_with(&mut Scratch::new(), &reference[0], &StormPlan::default())
-        .expect("valid config runs")
-        .summary()
-        .throughput_sps;
+    let reno = try_run_scenario_with(
+        &mut ConnectionScratch::new(),
+        &reference[0],
+        &StormPlan::default(),
+    )
+    .expect("valid config runs")
+    .summary()
+    .throughput_sps;
     let mut distinct = 0;
     for cc in [Algorithm::cubic(), Algorithm::Bbr, Algorithm::compound()] {
         let tp = try_run_scenario_with(
-            &mut Scratch::new(),
+            &mut ConnectionScratch::new(),
             &zoo_configs(cc)[0],
             &StormPlan::default(),
         )

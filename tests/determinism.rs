@@ -9,7 +9,7 @@ use hsm::trace::prelude::*;
 
 fn one_flow(seed: u64) -> FlowTrace {
     try_run_scenario_with(
-        &mut Scratch::new(),
+        &mut ConnectionScratch::new(),
         &ScenarioConfig {
             seed,
             duration: SimDuration::from_secs(25),

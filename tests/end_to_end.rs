@@ -7,7 +7,7 @@ use hsm::simnet::time::SimDuration;
 
 fn run(motion: Motion, seed: u64) -> ScenarioOutcome {
     try_run_scenario_with(
-        &mut Scratch::new(),
+        &mut ConnectionScratch::new(),
         &ScenarioConfig {
             provider: Provider::ChinaMobile,
             motion,
@@ -91,7 +91,7 @@ fn internal_ground_truth_matches_trace_inference() {
 fn every_provider_runs_the_full_pipeline() {
     for (i, provider) in Provider::ALL.iter().enumerate() {
         let out = try_run_scenario_with(
-            &mut Scratch::new(),
+            &mut ConnectionScratch::new(),
             &ScenarioConfig {
                 provider: *provider,
                 seed: 40 + i as u64,

@@ -10,7 +10,7 @@ use hsm::tcp::prelude::*;
 use hsm::trace::prelude::*;
 
 fn run(config: &ScenarioConfig) -> ScenarioOutcome {
-    try_run_scenario_with(&mut Scratch::new(), config, &StormPlan::default())
+    try_run_scenario_with(&mut ConnectionScratch::new(), config, &StormPlan::default())
         .expect("valid config runs")
 }
 
@@ -149,6 +149,7 @@ fn shared_radio_mptcp_fills_dead_time_without_doubling_capacity() {
         };
         single_sum += run(&sc).summary().throughput_sps;
         let shared = run_mptcp_shared_radio(
+            &mut ConnectionScratch::new(),
             sc.seed,
             &sc.path(),
             sc.mobility().as_ref(),

@@ -20,6 +20,7 @@ fn duplex_aggregates_two_subflows() {
     let sc = scenario(Provider::ChinaTelecom, 8);
     let path = sc.path();
     let out = run_mptcp_duplex(
+        &mut ConnectionScratch::new(),
         sc.seed,
         [&path, &path],
         sc.mobility().as_ref(),
@@ -43,11 +44,13 @@ fn duplex_beats_single_flow_on_the_worst_provider() {
     let mut duplex_sum = 0.0;
     for seed in 0..3 {
         let sc = scenario(Provider::ChinaTelecom, 100 + seed);
-        let single = try_run_scenario_with(&mut Scratch::new(), &sc, &StormPlan::default())
-            .expect("valid config runs");
+        let single =
+            try_run_scenario_with(&mut ConnectionScratch::new(), &sc, &StormPlan::default())
+                .expect("valid config runs");
         single_sum += single.summary().throughput_sps;
         let path = sc.path();
         let duplex = run_mptcp_duplex(
+            &mut ConnectionScratch::new(),
             sc.seed,
             [&path, &path],
             sc.mobility().as_ref(),
@@ -75,6 +78,7 @@ fn backup_path_never_hurts_delivery() {
     )
     .expect("engine invariants hold");
     let with_backup = run_with_backup_path(
+        &mut ConnectionScratch::new(),
         sc.seed,
         &sc.path(),
         &PathSpec::default(),
@@ -115,6 +119,7 @@ fn backup_path_reduces_recovery_loss_rate_on_average() {
         )
         .expect("engine invariants hold");
         let backup = run_with_backup_path(
+            &mut ConnectionScratch::new(),
             sc.seed,
             &sc.path(),
             &PathSpec::default(),
@@ -135,4 +140,97 @@ fn backup_path_reduces_recovery_loss_rate_on_average() {
         backup_q <= plain_q,
         "mean recovery with backup {backup_q} must not exceed plain {plain_q}"
     );
+}
+
+/// FNV-1a over the concatenated JSON encodings of the given values.
+macro_rules! json_digest {
+    ($($value:expr),+ $(,)?) => {{
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        $(
+            for b in serde_json::to_string($value).expect("serializable").bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        )+
+        h
+    }};
+}
+
+#[test]
+fn mptcp_runner_outputs_are_pinned() {
+    // (seed, duplex, backup, shared radio) digests over the subflow traces
+    // and the sender, receiver and channel metrics, recorded once; a
+    // wiring or capture refactor must reproduce them bit for bit.
+    const PINNED: [(u64, u64, u64, u64); 2] = [
+        (
+            17,
+            0x856a_c24c_42ad_fd1c,
+            0x15b4_c171_98ce_1401,
+            0x736b_8cb0_d3f0_401d,
+        ),
+        (
+            23,
+            0x9564_6a32_732d_6281,
+            0xc3c3_a584_4638_8fcd,
+            0x6025_5af2_e225_a248,
+        ),
+    ];
+    // One scratch reused across every run: recycled runs must reproduce
+    // the digests too.
+    let mut scratch = ConnectionScratch::new();
+    let mut got = Vec::new();
+    for seed in [17u64, 23] {
+        let sc = ScenarioConfig {
+            provider: Provider::ChinaMobile,
+            motion: Motion::HighSpeed,
+            seed,
+            duration: SimDuration::from_secs(40),
+            ..Default::default()
+        };
+        let path = sc.path();
+        let mobility = sc.mobility();
+        assert!(mobility.is_some(), "Table-I high-speed mobility attached");
+        let conn = sc.connection();
+
+        let duplex = run_mptcp_duplex(&mut scratch, seed, [&path, &path], mobility.as_ref(), &conn)
+            .expect("engine invariants hold");
+        assert!(duplex.channels.iter().all(|c| c.handoffs > 0));
+
+        let backup = run_with_backup_path(
+            &mut scratch,
+            seed,
+            &path,
+            &PathSpec::default(),
+            mobility.as_ref(),
+            &conn,
+        )
+        .expect("engine invariants hold");
+
+        let shared = run_mptcp_shared_radio(&mut scratch, seed, &path, mobility.as_ref(), &conn)
+            .expect("engine invariants hold");
+        assert_eq!(shared.subflows.len(), 2);
+        assert!(shared.channels[0].handoffs > 0);
+
+        got.push((
+            seed,
+            json_digest!(
+                &duplex.subflows,
+                &duplex.senders,
+                &duplex.receivers,
+                &duplex.channels
+            ),
+            json_digest!(
+                &backup.trace,
+                &backup.sender,
+                &backup.receiver,
+                &backup.channel
+            ),
+            json_digest!(
+                &shared.subflows,
+                &shared.senders,
+                &shared.receivers,
+                &shared.channels
+            ),
+        ));
+    }
+    assert_eq!(got, PINNED);
 }

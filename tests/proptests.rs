@@ -455,14 +455,14 @@ mod codec_properties {
     #[test]
     fn chaos_fuzzer_summaries_round_trip_through_the_codec() {
         use hsm::chaos::{config_for_case, FuzzRanges};
-        use hsm::scenario::prelude::{try_run_scenario_with, Scratch, StormPlan};
+        use hsm::scenario::prelude::{try_run_scenario_with, ConnectionScratch, StormPlan};
 
         let ranges = FuzzRanges {
             duration_s: (2, 3),
             region_duration_s: (2, 3),
             ..FuzzRanges::default()
         };
-        let mut scratch = Scratch::new();
+        let mut scratch = ConnectionScratch::new();
         for case in 0..32 {
             let config = config_for_case(&ranges, 0xC0DEC, case);
             let out = try_run_scenario_with(&mut scratch, &config, &StormPlan::default())

@@ -38,10 +38,22 @@ fn run_with_uplink_blackout(window_ms: (u64, u64)) -> (FlowTrace, SenderMetrics,
         SimTime::from_millis(window_ms.1),
         1.0,
     )));
-    let rec = VecRecorder::new();
-    eng.add_recorder(rec.clone());
+    let log = DeliveryLog::new();
+    eng.add_delivery_log(log.clone());
     eng.try_run_until(SimTime::from_secs(120)).unwrap();
-    let trace = single_flow_trace(&rec.events(), 0, FlowMeta::default()).expect("trace");
+    let trace = log
+        .with_deliveries(|deliveries| {
+            let arena = eng.arena();
+            trace_from_arena_with(
+                &mut CaptureScratch::new(),
+                arena,
+                deliveries,
+                0,
+                FlowMeta::default(),
+                &[],
+            )
+        })
+        .expect("trace");
     let sender = eng.agent_mut::<RenoSender>(tx).unwrap().metrics.clone();
     let receiver = eng.agent_mut::<Receiver>(rx).unwrap().metrics;
     (trace, sender, receiver)
