@@ -20,6 +20,18 @@ stage_build_test() {
         echo "deprecated shim found: delete the item and migrate its callers" >&2
         exit 1
     fi
+    # One thread pool: `hsm_runtime::parallel` is the only code that starts
+    # threads. Test modules (text after a file's first `#[cfg(test)]`) and
+    # `crates/*/benches` are exempt.
+    pool_hits="$(find crates/*/src src examples -name '*.rs' \
+        ! -path crates/runtime/src/parallel.rs -print0 \
+        | xargs -0 awk '/#\[cfg\(test\)\]/ { tests[FILENAME] = 1 }
+            !tests[FILENAME] && /thread::(scope|spawn)/ { print FILENAME ":" FNR ": " $0 }')"
+    if [ -n "$pool_hits" ]; then
+        echo "$pool_hits" >&2
+        echo "thread pool outside crates/runtime/src/parallel.rs: run the work on hsm_runtime::parallel::try_par_map" >&2
+        exit 1
+    fi
     # --workspace so the release `repro` binary the later steps run is built
     # (the bare root build only covers the facade crate).
     cargo build --release --workspace

@@ -110,7 +110,6 @@ fn write_campaign_bench() -> Result<(), String> {
         let campaign = Campaign::builder()
             .dataset(&dataset)
             .workers(workers)
-            .cache(CacheConfig::memory_only())
             .build()
             .map_err(|e| e.to_string())?;
         let cache = FlowCache::new(CacheConfig::memory_only());
@@ -145,7 +144,6 @@ fn write_campaign_bench() -> Result<(), String> {
     let campaign = Campaign::builder()
         .dataset(&dataset)
         .workers(host_cores)
-        .cache(CacheConfig::memory_only())
         .build()
         .map_err(|e| e.to_string())?;
     campaign
@@ -210,9 +208,7 @@ fn write_spec_bench(path: &Path, workers: Option<usize>) -> Result<(), String> {
     let spec = load_spec(path).map_err(|e| e.to_string())?;
     let configs = spec.expand().map_err(|e| e.to_string())?;
     let digest = expansion_digest(&configs);
-    let mut builder = Campaign::builder()
-        .configs(configs)
-        .cache(CacheConfig::memory_only());
+    let mut builder = Campaign::builder().configs(configs);
     if let Some(w) = workers {
         builder = builder.workers(w);
     }

@@ -83,9 +83,7 @@ pub fn run_cc_study_over(
             c.cc = cc;
             c
         });
-        let mut builder = Campaign::builder()
-            .configs(cc_configs)
-            .cache(CacheConfig::memory_only());
+        let mut builder = Campaign::builder().configs(cc_configs);
         if let Some(w) = workers {
             builder = builder.workers(w);
         }

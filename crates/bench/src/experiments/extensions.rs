@@ -10,13 +10,13 @@
 //! * `ext_mptcp` — shared-radio vs disjoint-carrier duplex MPTCP,
 //!   separating the *capacity* gain from the *dead-time-filling* gain.
 
+use super::rides;
 use crate::context::Ctx;
 use crate::report::ExperimentResult;
-use hsm_runtime::parallel::par_map;
 use hsm_scenario::provider::Provider;
 use hsm_scenario::runner::{try_run_scenario_with, ScenarioConfig};
 use hsm_simnet::chaos::StormPlan;
-use hsm_tcp::connection::{try_run_connection_with, ConnectionScratch};
+use hsm_tcp::connection::try_run_connection_with;
 use hsm_tcp::cwnd::Algorithm;
 use hsm_tcp::mptcp::{run_mptcp_duplex, run_mptcp_shared_radio};
 use hsm_tcp::receiver::AdaptiveDelAck;
@@ -52,21 +52,20 @@ pub fn run_cc(ctx: &Ctx) -> ExperimentResult {
             ("NewReno", Algorithm::Reno, true),
             ("Veno", Algorithm::veno(), false),
         ] {
-            let results = par_map(reps, |rep| {
+            let results = rides(reps, |scratch, rep| {
                 let sc = base_scenario(duration, provider, 7_000 + rep);
                 let mut conn = sc.connection();
                 conn.sender.algorithm = algo;
                 conn.sender.newreno = newreno;
                 let out = try_run_connection_with(
-                    &mut ConnectionScratch::new(),
+                    scratch,
                     sc.seed,
                     &sc.path(),
                     sc.mobility().as_ref(),
                     &conn,
-                )
-                .expect("experiment flow runs");
+                )?;
                 let s = analyze_flow(&out.trace, &TimeoutConfig::default()).summary;
-                (s.throughput_sps, f64::from(s.timeouts))
+                Ok((s.throughput_sps, f64::from(s.timeouts)))
             });
             let tp: f64 = results.iter().map(|r| r.0).sum();
             let to: f64 = results.iter().map(|r| r.1).sum();
@@ -108,25 +107,24 @@ pub fn run_delack(ctx: &Ctx) -> ExperimentResult {
         ),
     ];
     for (name, b, adaptive) in policies {
-        let results = par_map(reps, |rep| {
+        let results = rides(reps, |scratch, rep| {
             let sc = base_scenario(duration, Provider::ChinaMobile, 7_500 + rep);
             let mut conn = sc.connection();
             conn.receiver.b = b;
             conn.receiver.adaptive = adaptive;
             let out = try_run_connection_with(
-                &mut ConnectionScratch::new(),
+                scratch,
                 sc.seed,
                 &sc.path(),
                 sc.mobility().as_ref(),
                 &conn,
-            )
-            .expect("experiment flow runs");
+            )?;
             let s = analyze_flow(&out.trace, &TimeoutConfig::default()).summary;
-            (
+            Ok((
                 s.throughput_sps,
                 f64::from(s.timeouts),
                 s.spurious_fraction(),
-            )
+            ))
         });
         let tp: f64 = results.iter().map(|r| r.0).sum();
         let to: f64 = results.iter().map(|r| r.1).sum();
@@ -159,20 +157,19 @@ pub fn run_undo(ctx: &Ctx) -> ExperimentResult {
     );
     for provider in Provider::ALL {
         for recovery in [Recovery::None, Recovery::Frto] {
-            let results = par_map(reps, |rep| {
+            let results = rides(reps, |scratch, rep| {
                 let sc = base_scenario(duration, provider, 8_000 + rep);
                 let mut conn = sc.connection();
                 conn.sender.recovery = recovery;
                 let out = try_run_connection_with(
-                    &mut ConnectionScratch::new(),
+                    scratch,
                     sc.seed,
                     &sc.path(),
                     sc.mobility().as_ref(),
                     &conn,
-                )
-                .expect("experiment flow runs");
+                )?;
                 let s = analyze_flow(&out.trace, &TimeoutConfig::default()).summary;
-                (s.throughput_sps, out.sender.spurious_rto_undone as f64)
+                Ok((s.throughput_sps, out.sender.spurious_rto_undone as f64))
             });
             let tp: f64 = results.iter().map(|r| r.0).sum();
             let undone: f64 = results.iter().map(|r| r.1).sum();
@@ -203,34 +200,30 @@ pub fn run_mptcp_variants(ctx: &Ctx) -> ExperimentResult {
         ],
     );
     for provider in Provider::ALL {
-        let results = par_map(reps, |rep| {
+        let results = rides(reps, |scratch, rep| {
             let sc = base_scenario(duration, provider, 8_500 + rep);
-            let mut scratch = ConnectionScratch::new();
-            let single = try_run_scenario_with(&mut scratch, &sc, &StormPlan::default())
-                .expect("experiment flow runs")
+            let single = try_run_scenario_with(scratch, &sc, &StormPlan::default())?
                 .summary()
                 .throughput_sps;
             let path = sc.path();
             let conn = sc.connection();
             let shared = run_mptcp_shared_radio(
-                &mut scratch,
+                scratch,
                 sc.seed ^ 0x1111,
                 &path,
                 sc.mobility().as_ref(),
                 &conn,
-            )
-            .expect("experiment flow runs")
+            )?
             .aggregate_throughput_sps();
             let disjoint = run_mptcp_duplex(
-                &mut scratch,
+                scratch,
                 sc.seed ^ 0x2222,
                 [&path, &path],
                 sc.mobility().as_ref(),
                 &conn,
-            )
-            .expect("experiment flow runs")
+            )?
             .aggregate_throughput_sps();
-            (single, shared, disjoint)
+            Ok((single, shared, disjoint))
         });
         let single: f64 = results.iter().map(|r| r.0).sum();
         let shared: f64 = results.iter().map(|r| r.1).sum();

@@ -12,15 +12,14 @@
 //! over many rides before taking the ratio (single-flow HSR throughput is
 //! heavy-tailed, so a mean of ratios would explode).
 
+use super::rides;
 use crate::context::Ctx;
 use crate::report::ExperimentResult;
-use hsm_runtime::parallel::par_map;
 use hsm_scenario::calibrate::PAPER;
 use hsm_scenario::provider::Provider;
 use hsm_scenario::runner::{try_run_scenario_with, ScenarioConfig};
 use hsm_simnet::chaos::StormPlan;
 use hsm_simnet::time::SimDuration;
-use hsm_tcp::connection::ConnectionScratch;
 use hsm_tcp::mptcp::run_mptcp_shared_radio;
 use hsm_trace::export::{fnum, fpct, Table};
 
@@ -52,24 +51,21 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
     for (i, provider) in Provider::ALL.iter().enumerate() {
         // Paired rides: the same seed drives the single-flow and the
         // MPTCP run of each repetition, reducing ride-to-ride variance.
-        let pairs = par_map(reps, |rep| {
+        let pairs = rides(reps, |scratch, rep| {
             let sc = scenario(*provider, 300 + rep, duration);
-            let mut scratch = ConnectionScratch::new();
-            let single = try_run_scenario_with(&mut scratch, &sc, &StormPlan::default())
-                .expect("experiment flow runs")
+            let single = try_run_scenario_with(scratch, &sc, &StormPlan::default())?
                 .summary()
                 .throughput_sps;
             let path = sc.path();
             let mptcp = run_mptcp_shared_radio(
-                &mut scratch,
+                scratch,
                 sc.seed,
                 &path,
                 sc.mobility().as_ref(),
                 &sc.connection(),
-            )
-            .expect("experiment flow runs")
+            )?
             .aggregate_throughput_sps();
-            (single, mptcp)
+            Ok((single, mptcp))
         });
         let s_mean = pairs.iter().map(|p| p.0).sum::<f64>() / reps as f64;
         let m_mean = pairs.iter().map(|p| p.1).sum::<f64>() / reps as f64;

@@ -2,14 +2,13 @@
 //! ACK-burst probability `P_a` and with it spurious timeouts. Model sweep
 //! plus a simulation cross-check.
 
+use super::rides;
 use crate::context::Ctx;
 use crate::report::ExperimentResult;
 use hsm_core::params::ModelParams;
 use hsm_core::sensitivity::delayed_ack_analysis;
-use hsm_runtime::parallel::par_map;
 use hsm_scenario::runner::{try_run_scenario_with, ScenarioConfig};
 use hsm_simnet::chaos::StormPlan;
-use hsm_tcp::connection::ConnectionScratch;
 use hsm_trace::export::{fnum, fpct, Table};
 
 /// Regenerates the §V-A analysis.
@@ -44,9 +43,9 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
         ],
     );
     for b in [1u32, 2, 4] {
-        let results = par_map(reps, |rep| {
+        let results = rides(reps, |scratch, rep| {
             let out = try_run_scenario_with(
-                &mut ConnectionScratch::new(),
+                scratch,
                 &ScenarioConfig {
                     seed: 4_000 + rep,
                     b,
@@ -54,13 +53,12 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
                     ..Default::default()
                 },
                 &StormPlan::default(),
-            )
-            .expect("experiment flow runs");
-            (
+            )?;
+            Ok((
                 out.summary().throughput_sps,
                 f64::from(out.summary().timeouts),
                 out.summary().spurious_fraction(),
-            )
+            ))
         });
         let tp: f64 = results.iter().map(|r| r.0).sum();
         let to: f64 = results.iter().map(|r| r.1).sum();

@@ -1,13 +1,13 @@
 //! §V-B — reliable (redundant) retransmission: model `q`-sweep plus the
 //! backup-path simulation.
 
+use super::rides;
 use crate::context::Ctx;
 use crate::report::ExperimentResult;
 use hsm_core::params::ModelParams;
 use hsm_core::sensitivity::{redundant_retransmit_benefit, sweep_q};
-use hsm_runtime::parallel::par_map;
 use hsm_scenario::runner::ScenarioConfig;
-use hsm_tcp::connection::{try_run_connection_with, ConnectionScratch, PathSpec};
+use hsm_tcp::connection::{try_run_connection_with, PathSpec};
 use hsm_tcp::mptcp::run_with_backup_path;
 use hsm_trace::export::{fnum, fpct, Table};
 
@@ -48,7 +48,7 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
     // over a clean second path.
     let reps = ctx.scale.repetitions();
     let duration = ctx.scale.flow_duration();
-    let results = par_map(reps, |rep| {
+    let results = rides(reps, |scratch, rep| {
         let sc = ScenarioConfig {
             seed: 5_000 + rep,
             duration,
@@ -56,26 +56,23 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
         };
         let conn = sc.connection();
         let mob = sc.mobility();
-        let mut scratch = ConnectionScratch::new();
-        let plain = try_run_connection_with(&mut scratch, sc.seed, &sc.path(), mob.as_ref(), &conn)
-            .expect("experiment flow runs");
+        let plain = try_run_connection_with(scratch, sc.seed, &sc.path(), mob.as_ref(), &conn)?;
         let with_backup = run_with_backup_path(
-            &mut scratch,
+            scratch,
             sc.seed,
             &sc.path(),
             &PathSpec::default(),
             mob.as_ref(),
             &conn,
-        )
-        .expect("experiment flow runs");
+        )?;
         let pa = hsm_trace::summary::analyze_flow(&plain.trace, &Default::default());
         let ba = hsm_trace::summary::analyze_flow(&with_backup.trace, &Default::default());
-        (
+        Ok((
             pa.summary.q_hat,
             ba.summary.q_hat,
             pa.summary.mean_recovery_s,
             ba.summary.mean_recovery_s,
-        )
+        ))
     });
     let plain_q: f64 = results.iter().map(|r| r.0).sum();
     let backup_q: f64 = results.iter().map(|r| r.1).sum();

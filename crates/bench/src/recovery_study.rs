@@ -219,9 +219,7 @@ pub fn run_recovery_study(
                 recovery,
                 ..ScenarioConfig::default()
             });
-            let mut builder = Campaign::builder()
-                .configs(configs)
-                .cache(CacheConfig::memory_only());
+            let mut builder = Campaign::builder().configs(configs);
             if let Some(w) = workers {
                 builder = builder.workers(w);
             }

@@ -48,7 +48,6 @@ pub struct SimnetBench {
 pub fn measure(scale: Scale) -> Result<SimnetBench, String> {
     let campaign = Campaign::builder()
         .dataset(&scale.dataset_config())
-        .cache(CacheConfig::memory_only())
         .build()
         .map_err(|e| e.to_string())?;
     let cache = FlowCache::new(CacheConfig::memory_only());

@@ -53,7 +53,8 @@ pub use report::{AggregateOracle, ChaosReport, DrillResult, Violation};
 pub use rng::ChaosRng;
 
 use hsm_core::enhanced::EnhancedModel;
-use hsm_runtime::parallel::par_map_workers;
+use hsm_runtime::parallel::{available_workers, try_par_map};
+use hsm_runtime::EngineError;
 use hsm_scenario::runner::ScenarioConfig;
 use std::path::PathBuf;
 
@@ -102,9 +103,7 @@ impl ChaosOptions {
     /// when it is 0.
     pub fn worker_count(&self) -> usize {
         if self.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|w| w.get())
-                .unwrap_or(4)
+            available_workers()
         } else {
             self.workers
         }
@@ -125,11 +124,20 @@ pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
     }
 
     // Per-case work is pure in (seed, case), so sharding over workers
-    // cannot change the result, only the wall-clock.
-    let outcomes = par_map_workers(opts.cases, opts.worker_count(), |case| {
-        let config = config_for_case(&opts.ranges, opts.seed, case);
-        check_case(case, &config, &oracle)
-    });
+    // cannot change the result, only the wall-clock. The oracle builds
+    // its own fresh scratches (they are its differential), so workers
+    // carry no state.
+    let (outcomes, _) = try_par_map(
+        opts.cases as usize,
+        opts.worker_count(),
+        || (),
+        |_, case| {
+            let case = case as u64;
+            let config = config_for_case(&opts.ranges, opts.seed, case);
+            Ok::<_, EngineError>(check_case(case, &config, &oracle))
+        },
+    )
+    .unwrap_or_else(|e| panic!("chaos case pool failed: {e}"));
 
     let mut violations = Vec::new();
     let mut region = Vec::new();

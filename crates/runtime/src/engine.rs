@@ -1,38 +1,31 @@
-//! The sharded, memoizing campaign engine.
+//! The memoizing campaign engine.
 //!
-//! A [`Campaign`] is an ordered set of [`ScenarioConfig`]s executed across
-//! a self-scheduling worker pool: each worker first executes a small
-//! round-robin *reserved prefix* of flow indices it alone owns, then
-//! pulls remaining indices from a shared atomic counter (idle workers
-//! automatically take over remaining work). The reserved prefix exists
-//! for warm replays: cache hits return in microseconds, so with a bare
-//! shared counter the first worker to spin up drained the entire
-//! campaign before the rest of the pool finished spawning — every warm
-//! `worker_flows` histogram read `[n, 0, 0, ...]`. Reserving the first
-//! few rounds per worker guarantees each worker a slice of the campaign
-//! regardless of spawn order, without giving up work-stealing for the
-//! (expensive, uneven) simulated remainder.
+//! A [`Campaign`] is an ordered set of [`ScenarioConfig`]s, one index per
+//! flow, executed on the workspace's one worker pool,
+//! [`try_par_map`]: the pool owns the
+//! scheduling (reserved round-robin prefix, then a shared counter), the
+//! fail floor that makes the lowest-index failure win, panic containment
+//! (`WorkerLost`) and the per-worker loads that become
+//! [`CampaignReport::worker_flows`] and [`CampaignReport::worker_busy_s`].
 //!
-//! Workers stream each flow through `try_run_scenario_with`, and
-//! drop the raw `FlowTrace` immediately — only the compact
-//! [`FlowSummary`] survives — so campaigns of tens of thousands of flows
-//! run in near-constant memory. Opting into
-//! [`CampaignBuilder::keep_outcomes`] retains the full
-//! [`ScenarioOutcome`] for figure generators that need the packet
-//! records.
+//! Each worker's pool state is one [`ConnectionScratch`] (simulation
+//! engine, delivery log, capture slab), reused across every flow it
+//! handles. Each flow streams through `try_run_scenario_with`, and the raw
+//! `FlowTrace` is dropped immediately — only the compact [`FlowSummary`]
+//! survives — so campaigns of tens of thousands of flows run in
+//! near-constant memory. Opting into [`CampaignBuilder::keep_outcomes`]
+//! retains the full [`ScenarioOutcome`] for figure generators that need
+//! the packet records.
 //!
-//! Each worker owns a [`ConnectionScratch`] (simulation engine, delivery
-//! log, capture slab) reused across every flow it handles, and writes
-//! each result into the flow's own pre-allocated slot — flow `i` goes to
-//! slot `i`, no channel, no post-hoc sort. Completed flows are memoized in a
-//! sharded [`FlowCache`]; the slot vector *is* index order, so the
-//! summary stream is **bit-identical** for any worker count and any
-//! cache state (cold, warm memory, warm disk). Wall-clock and
-//! utilization telemetry lives only in the [`CampaignReport`], never in
-//! the result stream.
+//! Completed flows are memoized in a sharded [`FlowCache`]. The pool
+//! returns results in index order, so the summary stream is
+//! **bit-identical** for any worker count and any cache state (cold, warm
+//! memory, warm disk). Wall-clock and utilization telemetry lives only in
+//! the [`CampaignReport`], never in the result stream.
 
 use crate::cache::{CacheConfig, CacheKey, FlowCache, ENGINE_VERSION};
 use crate::error::EngineError;
+use crate::parallel::{available_workers, try_par_map};
 use hsm_scenario::dataset::{plan_dataset, plan_stationary_baseline, DatasetConfig, DatasetFlow};
 use hsm_scenario::runner::{try_run_scenario_with, ScenarioConfig, ScenarioOutcome};
 use hsm_simnet::chaos::StormPlan;
@@ -40,16 +33,7 @@ use hsm_simnet::event::QueueStats;
 use hsm_tcp::connection::ConnectionScratch;
 use hsm_trace::summary::FlowSummary;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
-
-/// Rounds of the per-worker reserved prefix (see the module docs): each
-/// worker owns this many flow indices before the pool falls back to the
-/// shared counter. Large enough to pin a visible slice of warm replays
-/// on every worker, small enough that an unlucky reserved assignment of
-/// expensive flows cannot meaningfully unbalance a cold campaign.
-const RESERVED_ROUNDS: usize = 8;
 
 /// One executed (or cache-served) flow of a campaign.
 #[derive(Debug, Clone)]
@@ -67,8 +51,6 @@ pub struct FlowRun {
     /// Event-queue telemetry of the simulation (zeroed for cache hits —
     /// a served flow schedules nothing).
     pub queue: QueueStats,
-    /// Index of the worker that handled the flow.
-    pub worker: usize,
     /// The full outcome, retained only under `keep_outcomes`.
     pub outcome: Option<Box<ScenarioOutcome>>,
 }
@@ -217,7 +199,6 @@ impl ChaosInjection {
 pub struct CampaignBuilder {
     configs: Vec<ScenarioConfig>,
     workers: Option<usize>,
-    cache: Option<CacheConfig>,
     keep_outcomes: bool,
     #[cfg(any(test, feature = "chaos"))]
     chaos: ChaosInjection,
@@ -246,13 +227,6 @@ impl CampaignBuilder {
     /// Sets the worker count (defaults to the machine's parallelism).
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers);
-        self
-    }
-
-    /// Sets the cache configuration (defaults to
-    /// [`CacheConfig::memory_only`]).
-    pub fn cache(mut self, cache: CacheConfig) -> Self {
-        self.cache = Some(cache);
         self
     }
 
@@ -290,15 +264,9 @@ impl CampaignBuilder {
                 .validate()
                 .map_err(|source| EngineError::InvalidConfig { index, source })?;
         }
-        let workers = self.workers.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|w| w.get())
-                .unwrap_or(4)
-        });
         Ok(Campaign {
             configs: self.configs,
-            workers,
-            cache: self.cache.unwrap_or_else(CacheConfig::memory_only),
+            workers: self.workers.unwrap_or_else(available_workers),
             keep_outcomes: self.keep_outcomes,
             #[cfg(any(test, feature = "chaos"))]
             chaos: self.chaos,
@@ -311,7 +279,6 @@ impl CampaignBuilder {
 pub struct Campaign {
     configs: Vec<ScenarioConfig>,
     workers: usize,
-    cache: CacheConfig,
     keep_outcomes: bool,
     #[cfg(any(test, feature = "chaos"))]
     chaos: ChaosInjection,
@@ -333,14 +300,15 @@ impl Campaign {
         self.workers
     }
 
-    /// Runs the campaign against a fresh cache built from the campaign's
-    /// own [`CacheConfig`] (a disk tier still makes reruns warm).
+    /// Runs the campaign against a fresh memory-only cache; use
+    /// [`run_with_cache`](Self::run_with_cache) with a disk-tier
+    /// [`FlowCache`] to make reruns warm.
     ///
     /// # Errors
     ///
     /// Propagates [`EngineError`] from workers or the cache's disk tier.
     pub fn run(&self) -> Result<CampaignOutput, EngineError> {
-        self.run_with_cache(&FlowCache::new(self.cache.clone()))
+        self.run_with_cache(&FlowCache::new(CacheConfig::memory_only()))
     }
 
     /// Runs the campaign against a caller-owned cache, so repeated runs
@@ -353,121 +321,18 @@ impl Campaign {
         let started = Instant::now();
         let stats_before = cache.stats();
         let n = self.configs.len();
-        let workers = self.workers.clamp(1, n.max(1));
-        // Round-robin reserved prefix: worker `w` alone owns indices
-        // `{w, w + workers, ...}` for the first `reserved_rounds` rounds,
-        // so every worker is guaranteed a slice of the campaign even when
-        // cache hits make flows cheaper than thread spawns (see the
-        // module docs). The remainder stays self-scheduling.
-        let reserved_rounds = (n / workers).min(RESERVED_ROUNDS);
-        let next = AtomicUsize::new(reserved_rounds * workers);
-        let worker_stats: Mutex<Vec<(usize, f64)>> = Mutex::new(vec![(0, 0.0); workers]);
-        // One write-once slot per flow: worker claiming index `i` is the
-        // only writer of slot `i`, so the vector is already in campaign
-        // order when the pool drains — no channel, no sort.
-        let slots: Vec<OnceLock<Result<FlowRun, EngineError>>> =
-            (0..n).map(|_| OnceLock::new()).collect();
-        let abort = AtomicBool::new(false);
-        // Lowest failed index seen so far (`usize::MAX` = none). Workers
-        // keep executing indices at or below the floor and skip the rest,
-        // which guarantees every index up to the final floor has a
-        // filled slot — that is what makes "lowest failure wins" exact
-        // under the reserved prefix, where aborting outright could leave
-        // a lower failing index unexecuted on another worker.
-        let fail_floor = AtomicUsize::new(usize::MAX);
-
-        std::thread::scope(|scope| {
-            let configs = &self.configs;
-            let next = &next;
-            let worker_stats = &worker_stats;
-            let slots = &slots;
-            let abort = &abort;
-            let fail_floor = &fail_floor;
-            for worker in 0..workers {
-                scope.spawn(move || {
-                    let mut scratch = ConnectionScratch::new();
-                    let mut flows = 0usize;
-                    let mut busy = 0.0f64;
-                    let mut round = 0usize;
-                    loop {
-                        if abort.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let i = if round < reserved_rounds {
-                            let i = worker + round * workers;
-                            round += 1;
-                            i
-                        } else {
-                            next.fetch_add(1, Ordering::Relaxed)
-                        };
-                        if i >= n {
-                            break;
-                        }
-                        if i > fail_floor.load(Ordering::Relaxed) {
-                            // A lower index already failed; this flow's
-                            // result could never surface. Leave its slot
-                            // empty instead of simulating it.
-                            continue;
-                        }
-                        let t0 = Instant::now();
-                        // A worker that panics mid-flow counts as dead:
-                        // catch the unwind so the pool degrades to a
-                        // structured WorkerLost error (its slot stays
-                        // unfilled) instead of tearing down the scope.
-                        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            #[cfg(any(test, feature = "chaos"))]
-                            self.chaos.before_flow(i, &mut scratch);
-                            self.execute_one(i, worker, configs, cache, &mut scratch)
-                        }));
-                        busy += t0.elapsed().as_secs_f64();
-                        let Ok(run) = run else {
-                            abort.store(true, Ordering::Relaxed);
-                            break;
-                        };
-                        flows += 1;
-                        if run.is_err() {
-                            fail_floor.fetch_min(i, Ordering::Relaxed);
-                        }
-                        let claimed = slots[i].set(run).is_ok();
-                        debug_assert!(claimed, "flow index {i} claimed twice");
-                    }
-                    let mut stats = worker_stats.lock().expect("worker stats lock");
-                    stats[worker] = (flows, busy);
-                });
-            }
-        });
-
-        let mut runs: Vec<FlowRun> = Vec::with_capacity(n);
-        let mut lost = false;
-        let mut failure: Option<EngineError> = None;
-        for slot in slots {
-            match slot.into_inner() {
-                Some(Ok(run)) => runs.push(run),
-                Some(Err(e)) => {
-                    // Lowest-index failure wins: every index below the
-                    // final fail floor was executed, so the first error
-                    // met in slot order is the lowest on every
-                    // interleaving.
-                    failure = Some(e);
-                    break;
-                }
-                None => lost = true,
-            }
-        }
-        if let Some(e) = failure {
-            return Err(e);
-        }
-        if lost || runs.len() != n {
-            return Err(EngineError::WorkerLost);
-        }
+        let (runs, loads) = try_par_map(n, self.workers, ConnectionScratch::new, |scratch, i| {
+            #[cfg(any(test, feature = "chaos"))]
+            self.chaos.before_flow(i, scratch);
+            self.execute_one(i, cache, scratch)
+        })?;
 
         let stats_after = cache.stats();
-        let worker_stats = worker_stats.into_inner().expect("worker stats lock");
         let cache_hits = runs.iter().filter(|r| r.cache_hit).count();
         let report = CampaignReport {
             engine_version: ENGINE_VERSION.to_owned(),
             flows: n,
-            workers,
+            workers: loads.len(),
             cache_hits,
             cache_misses: n - cache_hits,
             disk_hits: stats_after.disk_hits - stats_before.disk_hits,
@@ -479,8 +344,8 @@ impl Campaign {
             }),
             wall_clock_s: started.elapsed().as_secs_f64(),
             sim_wall_s: runs.iter().map(|r| r.sim_wall_s).sum(),
-            worker_flows: worker_stats.iter().map(|(f, _)| *f).collect(),
-            worker_busy_s: worker_stats.iter().map(|(_, b)| *b).collect(),
+            worker_flows: loads.iter().map(|l| l.items).collect(),
+            worker_busy_s: loads.iter().map(|l| l.busy_s).collect(),
         };
         Ok(CampaignOutput { runs, report })
     }
@@ -490,12 +355,10 @@ impl Campaign {
     fn execute_one(
         &self,
         i: usize,
-        worker: usize,
-        configs: &[ScenarioConfig],
         cache: &FlowCache,
         scratch: &mut ConnectionScratch,
     ) -> Result<FlowRun, EngineError> {
-        let config = &configs[i];
+        let config = &self.configs[i];
         #[cfg(any(test, feature = "chaos"))]
         if self.chaos.fails(i) {
             // A simulated mid-flow engine failure, shaped exactly like a
@@ -519,7 +382,6 @@ impl Campaign {
                     sim_wall_s: 0.0,
                     events: 0,
                     queue: QueueStats::default(),
-                    worker,
                     outcome: None,
                 });
             }
@@ -541,7 +403,6 @@ impl Campaign {
             sim_wall_s,
             events,
             queue,
-            worker,
             // The trace is dropped right here unless the caller asked to
             // keep it — this is what bounds campaign memory.
             outcome: self.keep_outcomes.then(|| Box::new(outcome)),
@@ -610,6 +471,7 @@ pub fn run_stationary_baseline(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::RESERVED_ROUNDS;
     use hsm_scenario::runner::{Motion, ScenarioError};
     use hsm_simnet::time::SimDuration;
 

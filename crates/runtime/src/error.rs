@@ -79,7 +79,7 @@ impl fmt::Display for EngineError {
             }
             EngineError::ZeroWorkers => write!(f, "campaign worker count must be >= 1"),
             EngineError::WorkerLost => {
-                write!(f, "a campaign worker exited before delivering its results")
+                write!(f, "a pool worker exited before delivering its results")
             }
             EngineError::Cache(e) => write!(f, "{e}"),
             EngineError::ShardMerge { detail } => write!(f, "shard merge failure: {detail}"),

@@ -6,11 +6,10 @@
 //! 255-flow Table-I dataset — is a *campaign* of independent, deterministic
 //! flows. This crate runs those campaigns as fast as the hardware allows:
 //!
-//! * [`engine`] — [`Campaign`]: shards scenarios across a self-scheduling
-//!   worker pool (each worker reusing one simulation scratch across its
-//!   flows), streams each flow through analysis and drops raw traces
-//!   immediately (near-constant memory), and writes results into
-//!   per-flow slots so output is bit-identical for any worker count;
+//! * [`engine`] — [`Campaign`]: runs scenarios on the [`parallel`] pool
+//!   (each worker reusing one simulation scratch across its flows),
+//!   streams each flow through analysis and drops raw traces immediately
+//!   (near-constant memory); output is bit-identical for any worker count;
 //! * [`cache`] — [`FlowCache`]: content-addressed memoization of completed
 //!   flows (key = config + engine version, streamed into the hash with no
 //!   per-lookup allocation) with a sharded in-memory LRU tier and an
@@ -21,8 +20,10 @@
 //!   of an expanded spec, per-shard [`shard::ShardReport`]s, and a merge
 //!   that folds them into one [`shard::CampaignResult`] bit-identical to
 //!   the single-process run;
-//! * [`parallel`] — index-ordered parallel map whose output is the same
-//!   for every worker count (promoted from `hsm-bench`);
+//! * [`parallel`] — the workspace's one worker pool, [`parallel::try_par_map`]:
+//!   per-worker state, results in index order (the same for every worker
+//!   count), lowest-index failure wins, a panicking worker surfaces as
+//!   [`EngineError::WorkerLost`];
 //! * [`error`] — the engine/cache failure surface.
 //!
 //! ```
@@ -74,7 +75,6 @@ pub mod prelude {
         CampaignReport, FlowRun,
     };
     pub use crate::error::{CacheError, EngineError};
-    pub use crate::parallel::{par_map, par_map_workers, try_par_map_workers};
     pub use crate::shard::{
         merge_shards, read_shard_report, run_shard, shard_file_name, shard_indices, shard_len,
         write_shard_report, CampaignResult, ShardReport,

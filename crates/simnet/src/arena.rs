@@ -129,24 +129,9 @@ impl PacketArena {
         }
     }
 
-    /// On-wire size of packet `id`, bytes.
-    pub fn size_bytes(&self, id: PacketId) -> u32 {
-        self.size[id.0 as usize]
-    }
-
-    /// Owning flow of packet `id`.
-    pub fn flow(&self, id: PacketId) -> FlowId {
-        FlowId(self.flow[id.0 as usize])
-    }
-
     /// Send time of packet `id`.
     pub fn sent_at(&self, id: PacketId) -> SimTime {
         self.sent_at[id.0 as usize]
-    }
-
-    /// True if packet `id` is a data segment (original or retransmission).
-    pub fn is_data(&self, id: PacketId) -> bool {
-        self.kind[id.0 as usize] != KIND_ACK
     }
 
     /// Dense per-packet flow column (index == packet id) for bulk readers.
@@ -200,12 +185,7 @@ mod tests {
         arena.push(&a, LinkId::from_raw(1));
         assert_eq!(arena.get(PacketId(0)), d);
         assert_eq!(arena.get(PacketId(1)), a);
-        assert_eq!(arena.size_bytes(PacketId(0)), Packet::DATA_BYTES);
-        assert_eq!(arena.size_bytes(PacketId(1)), Packet::ACK_BYTES);
-        assert_eq!(arena.flow(PacketId(1)), FlowId(2));
         assert_eq!(arena.sent_at(PacketId(0)), SimTime::from_millis(5));
-        assert!(arena.is_data(PacketId(0)));
-        assert!(!arena.is_data(PacketId(1)));
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub mod prelude {
     pub use crate::event::{EventId, QueueStats};
     pub use crate::link::{LinkId, LinkSpec, QueuedPacket};
     pub use crate::loss::{Bernoulli, ChannelLoss, GilbertElliott, LossModel, Outage};
-    pub use crate::loss_ext::{PeriodicOutage, Scripted, TraceDriven};
+    pub use crate::loss_ext::PeriodicOutage;
     pub use crate::mobility::Trajectory;
     pub use crate::observer::{
         AnyObserver, DeliveryLog, DropCause, Observer, ObserverSet, PacketEvent, PacketEventKind,

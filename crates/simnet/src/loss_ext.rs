@@ -1,117 +1,14 @@
-//! Additional loss models: scripted, trace-driven and periodic-outage
-//! channels.
+//! A periodic-outage channel.
 //!
-//! These complement the stochastic models in [`loss`](crate::loss):
-//!
-//! * [`Scripted`] kills an exact set of packet indices — the workhorse of
-//!   packet-by-packet behavioural tests (Figs. 5 and 11 style scenarios);
-//! * [`TraceDriven`] replays a recorded loss pattern, enabling
-//!   loss-for-loss reproduction of a previously captured channel;
-//! * [`PeriodicOutage`] models a strictly periodic impairment (a crude
-//!   stand-in for evenly spaced cell crossings when the full mobility
-//!   model is overkill).
+//! [`PeriodicOutage`] complements the stochastic models in
+//! [`loss`](crate::loss): a strictly periodic impairment, a crude
+//! stand-in for evenly spaced cell crossings when the full mobility model
+//! is overkill. `hsm-tcp`'s `LossSpec::PeriodicOutage` path loss is built
+//! on it.
 
 use crate::loss::LossModel;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use std::collections::BTreeSet;
-
-/// Kills exactly the packets whose (0-based) arrival index at this channel
-/// is listed.
-#[derive(Debug, Clone, Default)]
-pub struct Scripted {
-    kill: BTreeSet<u64>,
-    seen: u64,
-}
-
-impl Scripted {
-    /// Creates a scripted channel killing the listed packet indices.
-    pub fn new(kill: impl IntoIterator<Item = u64>) -> Scripted {
-        Scripted {
-            kill: kill.into_iter().collect(),
-            seen: 0,
-        }
-    }
-
-    /// Kills a contiguous index range `[from, to)`.
-    pub fn range(from: u64, to: u64) -> Scripted {
-        Scripted::new(from..to)
-    }
-
-    /// Number of packets that have traversed the channel so far.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-}
-
-impl LossModel for Scripted {
-    fn is_lost(&mut self, _now: SimTime, _rng: &mut SimRng) -> bool {
-        let idx = self.seen;
-        self.seen += 1;
-        self.kill.contains(&idx)
-    }
-}
-
-/// Replays a recorded loss pattern; packets beyond the recording survive.
-#[derive(Debug, Clone, Default)]
-pub struct TraceDriven {
-    pattern: Vec<bool>,
-    cursor: usize,
-    /// When true, the pattern wraps around instead of running out.
-    cyclic: bool,
-}
-
-impl TraceDriven {
-    /// Creates a replay channel (`true` = lost).
-    pub fn new(pattern: Vec<bool>) -> TraceDriven {
-        TraceDriven {
-            pattern,
-            cursor: 0,
-            cyclic: false,
-        }
-    }
-
-    /// Makes the pattern repeat forever (builder style).
-    pub fn cyclic(mut self) -> TraceDriven {
-        self.cyclic = true;
-        self
-    }
-
-    /// Fraction of `true` entries in the pattern.
-    pub fn pattern_loss_rate(&self) -> f64 {
-        if self.pattern.is_empty() {
-            0.0
-        } else {
-            self.pattern.iter().filter(|&&l| l).count() as f64 / self.pattern.len() as f64
-        }
-    }
-}
-
-impl LossModel for TraceDriven {
-    fn is_lost(&mut self, _now: SimTime, _rng: &mut SimRng) -> bool {
-        if self.pattern.is_empty() {
-            return false;
-        }
-        if self.cursor >= self.pattern.len() {
-            if self.cyclic {
-                self.cursor = 0;
-            } else {
-                return false;
-            }
-        }
-        let lost = self.pattern[self.cursor];
-        self.cursor += 1;
-        lost
-    }
-
-    fn steady_state_rate(&self) -> Option<f64> {
-        if self.cyclic {
-            Some(self.pattern_loss_rate())
-        } else {
-            None
-        }
-    }
-}
 
 /// A strictly periodic outage: every `period`, the channel is fully lossy
 /// for `outage` (phase-shifted by `offset`).
@@ -177,49 +74,6 @@ mod tests {
 
     fn rng() -> SimRng {
         SimRng::seed_from_u64(1)
-    }
-
-    #[test]
-    fn scripted_kills_exact_indices() {
-        let mut s = Scripted::new([1, 3]);
-        let mut r = rng();
-        let outcomes: Vec<bool> = (0..5).map(|_| s.is_lost(SimTime::ZERO, &mut r)).collect();
-        assert_eq!(outcomes, vec![false, true, false, true, false]);
-        assert_eq!(s.seen(), 5);
-    }
-
-    #[test]
-    fn scripted_range() {
-        let mut s = Scripted::range(2, 4);
-        let mut r = rng();
-        let outcomes: Vec<bool> = (0..5).map(|_| s.is_lost(SimTime::ZERO, &mut r)).collect();
-        assert_eq!(outcomes, vec![false, false, true, true, false]);
-    }
-
-    #[test]
-    fn trace_driven_replays_then_passes() {
-        let mut t = TraceDriven::new(vec![true, false, true]);
-        let mut r = rng();
-        let outcomes: Vec<bool> = (0..5).map(|_| t.is_lost(SimTime::ZERO, &mut r)).collect();
-        assert_eq!(outcomes, vec![true, false, true, false, false]);
-        assert_eq!(t.steady_state_rate(), None);
-    }
-
-    #[test]
-    fn trace_driven_cyclic_wraps() {
-        let mut t = TraceDriven::new(vec![true, false]).cyclic();
-        let mut r = rng();
-        let outcomes: Vec<bool> = (0..6).map(|_| t.is_lost(SimTime::ZERO, &mut r)).collect();
-        assert_eq!(outcomes, vec![true, false, true, false, true, false]);
-        assert_eq!(t.steady_state_rate(), Some(0.5));
-        assert_eq!(t.pattern_loss_rate(), 0.5);
-    }
-
-    #[test]
-    fn trace_driven_empty_pattern_never_loses() {
-        let mut t = TraceDriven::new(Vec::new());
-        let mut r = rng();
-        assert!(!t.is_lost(SimTime::ZERO, &mut r));
     }
 
     #[test]
